@@ -24,10 +24,10 @@ class JigsawSpmmKernel final : public SpmmKernel {
   SpmmResult run(const VectorSparseMatrix& a, const DenseMatrix<fp16_t>& b,
                  const gpusim::CostModel& cost_model,
                  const SpmmRunOptions& options) const override {
-    core::JigsawPlanOptions po;
+    core::EngineOptions::Compile po;
     po.version = version_;
     const core::JigsawPlan plan = core::jigsaw_plan(a.values(), po);
-    core::JigsawRunOptions ro;
+    core::EngineOptions::Run ro;
     ro.compute_values = options.compute_values;
     core::JigsawRunResult r = core::jigsaw_run(plan, b, cost_model, ro);
     SpmmResult result;

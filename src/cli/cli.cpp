@@ -11,7 +11,6 @@
 #include "baselines/jigsaw_adapter.hpp"
 #include "baselines/spmm_kernel.hpp"
 #include "common/error.hpp"
-#include "core/checked.hpp"
 #include "core/hybrid.hpp"
 #include "core/kernel.hpp"
 #include "core/serialize.hpp"
@@ -453,14 +452,19 @@ int cmd_profile(const Args& args, std::ostream& out) {
     (void)core::jigsaw_run(plan, b, cm, {.compute_values = false});
   }
 
-  // Functional compute + hybrid + checked tiers.
+  // Functional compute + hybrid tier, then the serving engine's default
+  // (checked) route: compile + execute.
   (void)core::jigsaw_compute(interleaved, b);
   const auto hplan = core::hybrid_plan(a, {});
   (void)core::hybrid_run(hplan, a, b, cm, {.compute_values = false});
   {
-    auto checked = core::run_spmm_checked(a, b, cm);
-    JIGSAW_CHECK_MSG(checked.ok(), "checked run rejected: "
-                                       << checked.status().to_string());
+    Engine engine({.worker_threads = 1, .cost_model = cm});
+    auto compiled = engine.compile(a);
+    JIGSAW_CHECK_MSG(compiled.ok(), "checked compile rejected: "
+                                        << compiled.status().to_string());
+    auto run = engine.execute(*compiled.value(), b);
+    JIGSAW_CHECK_MSG(run.ok(),
+                     "checked run rejected: " << run.status().to_string());
   }
 
   obs::set_enabled(false);

@@ -120,7 +120,7 @@ HybridRunResult hybrid_run(const HybridPlan& plan,
                            const DenseMatrix<fp16_t>& a,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
-                           const HybridRunOptions& options) {
+                           const EngineOptions::Run& options) {
   JIGSAW_TRACE_SCOPE("hybrid", "hybrid.run");
   obs::add("hybrid.runs");
   JIGSAW_CHECK(a.rows() == plan.format.rows() &&

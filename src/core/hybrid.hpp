@@ -74,17 +74,15 @@ struct HybridRunResult {
   gpusim::KernelReport report;
 };
 
-// HybridRunOptions is a deprecated alias of EngineOptions::Run
-// (core/options.hpp); the fused epilogue it carries is ignored by
-// hybrid_run itself (the engine applies it after the three pipes merge).
-
 /// Executes the fused hybrid kernel: SpTC tiles through the Jigsaw path,
 /// dense tiles through mma.m16n8k16, CUDA-routed nonzeros through scalar
-/// FMAs; the three partial products accumulate into one C.
+/// FMAs; the three partial products accumulate into one C. The fused
+/// epilogue of `options` is ignored here (the engine applies it after the
+/// three pipes merge).
 HybridRunResult hybrid_run(const HybridPlan& plan,
                            const DenseMatrix<fp16_t>& a,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
-                           const HybridRunOptions& options = {});
+                           const EngineOptions::Run& options = {});
 
 }  // namespace jigsaw::core

@@ -51,7 +51,7 @@ KernelFeatures KernelFeatures::for_version(KernelVersion v) {
 }
 
 JigsawPlan jigsaw_plan(const DenseMatrix<fp16_t>& a,
-                       const JigsawPlanOptions& options) {
+                       const EngineOptions::Compile& options) {
   JIGSAW_TRACE_SCOPE("kernel", "kernel.plan");
   const auto t0 = std::chrono::steady_clock::now();
   const KernelFeatures feats = KernelFeatures::for_version(options.version);
@@ -608,7 +608,7 @@ JigsawEventCost jigsaw_cost_event(const JigsawFormat& f, std::size_t n,
 JigsawRunResult jigsaw_run(const JigsawPlan& plan,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
-                           const JigsawRunOptions& options) {
+                           const EngineOptions::Run& options) {
   JIGSAW_TRACE_SCOPE("kernel", "kernel.run");
   JIGSAW_CHECK_MSG(!plan.formats.empty(), "empty plan");
   JigsawRunResult result;

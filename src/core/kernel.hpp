@@ -35,8 +35,7 @@
 namespace jigsaw::core {
 
 // KernelVersion, JigsawTuning, Epilogue and the consolidated option
-// surface (EngineOptions + the deprecated JigsawPlanOptions /
-// JigsawRunOptions aliases) live in core/options.hpp.
+// surface (EngineOptions) live in core/options.hpp.
 
 /// Per-version feature switches derived from KernelVersion.
 struct KernelFeatures {
@@ -60,7 +59,7 @@ struct JigsawPlan {
 
 /// Runs the multi-granularity reorder and builds the format(s).
 JigsawPlan jigsaw_plan(const DenseMatrix<fp16_t>& a,
-                       const JigsawPlanOptions& options = {});
+                       const EngineOptions::Compile& options = {});
 
 struct JigsawRunResult {
   std::optional<DenseMatrix<float>> c;  ///< set when compute_values
@@ -75,7 +74,7 @@ struct JigsawRunResult {
 JigsawRunResult jigsaw_run(const JigsawPlan& plan,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
-                           const JigsawRunOptions& options = {});
+                           const EngineOptions::Run& options = {});
 
 /// Functional path only: computes C through the format + functional SpTC,
 /// applying the optional fused epilogue at write-back.

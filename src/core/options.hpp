@@ -1,10 +1,6 @@
 // Consolidated option surface of the Jigsaw pipeline.
 //
-// Historically every entry point grew its own knob struct
-// (JigsawPlanOptions, JigsawRunOptions, CheckedRunOptions,
-// HybridRunOptions), so a caller threading the pipeline end-to-end had to
-// translate between four overlapping vocabularies. This header layers the
-// whole surface into one EngineOptions value with two sections:
+// One EngineOptions value carries every knob, in two sections:
 //
 //   * EngineOptions::Compile — everything that shapes the immutable
 //     compiled artifact (kernel version, tiling, metadata layout, reorder
@@ -16,10 +12,9 @@
 //     fused epilogue). Run options never invalidate a cached artifact.
 //
 // plus the ExecutionPolicy selecting which tier executes the artifact.
-// The legacy names survive as thin deprecated aliases (bottom of this
-// header and checked.hpp) so existing call sites keep compiling; new code
-// should spell the sections directly. See docs/API.md for the migration
-// table.
+// The lower-level entry points take the matching section directly
+// (jigsaw_plan a Compile, jigsaw_run and hybrid_run a Run). See
+// docs/API.md.
 #pragma once
 
 #include <cstdint>
@@ -102,7 +97,9 @@ struct EngineOptions {
   /// plan-cache key.
   struct Compile {
     KernelVersion version = KernelVersion::kV4;
-    int block_tile = 64;  ///< used by V0..V3 (V4 tunes over {16,32,64})
+    /// BLOCK_TILE of the checked and hybrid routes and of kRaw V0..V3;
+    /// kRaw V4 (and jigsaw_plan at V4) tunes over {16, 32, 64} instead.
+    int block_tile = 64;
     ReorderOptions reorder{};
     /// Metadata layout of the extra format pair the engine keeps next to
     /// the per-version plan (V0..V2 force kNaive, V3+ kInterleaved for
@@ -135,13 +132,8 @@ struct EngineOptions {
   Run run;
 };
 
-// ---- Deprecated aliases ---------------------------------------------------
-// Thin compatibility spellings for the pre-engine entry points; existing
-// call sites keep compiling, new code uses the EngineOptions sections.
-// CheckedRunOptions (the fourth legacy struct) lives in checked.hpp as a
-// shim because it mixed compile- and run-section fields.
-using JigsawPlanOptions = EngineOptions::Compile;   ///< deprecated name
-using JigsawRunOptions = EngineOptions::Run;        ///< deprecated name
-using HybridRunOptions = EngineOptions::Run;        ///< deprecated name
+/// Deprecated spelling of EngineOptions::Run. The benchmark program
+/// (perfbench/) still spells it; everything else spells the section.
+using JigsawRunOptions = EngineOptions::Run;
 
 }  // namespace jigsaw::core

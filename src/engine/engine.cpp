@@ -75,19 +75,6 @@ std::vector<std::size_t> dirty_panels_of(const std::vector<bool>& row_dirty,
   return dirty;
 }
 
-/// checked_compile's per-panel failure predicate: a panel that needed tail
-/// splitting or grew past the 16-aligned K degrades onto the hybrid pipes
-/// — a shape the panel splice cannot represent, so update falls back to a
-/// full recompile when any panel fails after the delta.
-bool would_degrade(const core::ReorderResult& reorder, std::size_t cols) {
-  const auto limit =
-      static_cast<std::uint32_t>(core::round_up(cols, core::kMmaTile));
-  for (const core::PanelReorder& p : reorder.panels) {
-    if (p.used_split_fallback || p.padded_cols() > limit) return true;
-  }
-  return false;
-}
-
 /// compile_artifact's kRaw candidate selection, shared with the update
 /// path so a spliced plan picks the same BLOCK_TILE its base would.
 std::pair<bool, std::size_t> choose_raw_candidate(const core::JigsawPlan& plan,
@@ -219,13 +206,10 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
     switch (policy) {
       case ExecutionPolicy::kAuto:  // resolved by compile(); unreachable
       case ExecutionPolicy::kChecked: {
-        auto artifact =
-            core::checked_compile(a, core::checked_options_from(options));
-        if (!artifact.ok()) return artifact.status();
-        core::CheckedArtifact& art = artifact.value();
-        cm->degraded = art.degraded;
+        core::CheckedArtifact art = core::checked_compile(a, options.compile);
+        cm->degraded = art.hybrid.has_value();
         cm->degradation = std::move(art.degradation);
-        if (art.degraded) {
+        if (cm->degraded) {
           cm->hybrid = std::move(art.hybrid);
           primary = &cm->hybrid->reorder;
         } else {
@@ -290,25 +274,27 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
 
 Status Engine::finalize_artifact(CompiledMatrix& cm,
                                  const DenseMatrix<fp16_t>& a) const {
-  for (const core::JigsawFormat* f :
-       {&cm.naive_format, &cm.interleaved_format}) {
+  // Every format the artifact carries is validated here, once, and
+  // charged against the cache bound: the layout pair, the kRaw
+  // candidates jigsaw_run executes, and the SpTC subset of the hybrid
+  // pipes.
+  std::vector<const core::JigsawFormat*> formats = {&cm.naive_format,
+                                                    &cm.interleaved_format};
+  for (const core::JigsawFormat& f : cm.plan.formats) formats.push_back(&f);
+  if (cm.hybrid.has_value()) formats.push_back(&cm.hybrid->format);
+  std::size_t bytes = 0;
+  for (const core::JigsawFormat* f : formats) {
     Status valid = f->validate();
     if (!valid.ok()) {
       return Status(StatusCode::kInternal,
                     "freshly built format failed validation: " +
                         valid.to_string());
     }
+    bytes += footprint_of(*f);
   }
   cm.updatable = cm.options.updatable;
 
-  // Resident size charged against the cache bound.
-  std::size_t bytes = footprint_of(cm.naive_format) +
-                      footprint_of(cm.interleaved_format);
-  for (const core::JigsawFormat& f : cm.plan.formats) {
-    bytes += footprint_of(f);
-  }
   if (cm.hybrid.has_value()) {
-    bytes += footprint_of(cm.hybrid->format);
     for (const core::PanelRouting& r : cm.hybrid->routing) {
       bytes += (r.dense_columns.size() + r.cuda_columns.size()) *
                sizeof(std::uint32_t);
@@ -362,9 +348,9 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
   try {
     if (base.policy == ExecutionPolicy::kChecked) {
       // Replicate checked_compile's reorder options exactly: the recorded
-      // result tile IS the tile checked_options_from built, and per-panel
-      // seeds derive from (seed, panel index), so re-planning only the
-      // dirty panels is bit-identical to a from-scratch checked compile.
+      // result tile IS the compile's block_tile, and per-panel seeds
+      // derive from (seed, panel index), so re-planning only the dirty
+      // panels is bit-identical to a from-scratch checked compile.
       core::ReorderOptions ropts = base.options.reorder;
       ropts.tile = base.plan.reorders[0].tile;
       core::ReorderResult reorder = base.plan.reorders[0];
@@ -372,7 +358,10 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
           dirty_panels_of(row_dirty, reorder.tile.block_tile_m);
       core::reorder_panels(a2, ropts, dirty, reorder);
       panels_replanned += dirty.size();
-      if (would_degrade(reorder, a2.cols())) {
+      if (std::any_of(reorder.panels.begin(), reorder.panels.end(),
+                      [&](const core::PanelReorder& p) {
+                        return core::panel_failed(p, a2.cols());
+                      })) {
         // The delta pushed a panel off the SpTC path; the checked tier
         // would degrade it onto the hybrid pipes, which the splice cannot
         // represent — recompile from scratch instead.
@@ -538,7 +527,9 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
   }
   // The RCU swap: new submits going through latest() see the new
   // generation from here on; in-flight executions finish on whatever
-  // generation their shared_ptr pins.
+  // generation their shared_ptr pins. The engine owns the head before it
+  // is published, so no eviction can drop it behind the readers' backs.
+  own_head(published);
   lineage->publish(std::weak_ptr<const CompiledMatrix>(published));
 
   const double seconds =
@@ -552,6 +543,24 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
   obs::gauge_set("jigsaw.engine.update.generation",
                  static_cast<double>(cm->generation));
   return published;
+}
+
+void Engine::own_head(std::shared_ptr<const CompiledMatrix> head) {
+  // Dropped heads are destroyed after the lock is released.
+  std::vector<std::shared_ptr<const CompiledMatrix>> dropped;
+  MutexLock lock(heads_mu_);
+  for (auto it = heads_.begin(); it != heads_.end();) {
+    if (it->second.use_count() == 1 &&
+        it->second->lineage.use_count() == 1) {
+      dropped.push_back(std::move(it->second));
+      it = heads_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  std::shared_ptr<const CompiledMatrix>& slot = heads_[head->lineage.get()];
+  dropped.push_back(std::move(slot));
+  slot = std::move(head);
 }
 
 std::shared_ptr<const CompiledMatrix> Engine::latest(

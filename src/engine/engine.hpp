@@ -1,9 +1,10 @@
 // jigsaw::Engine — the unified serving facade over the whole pipeline.
 //
-// The library's entry points grew bottom-up: multi_granularity_reorder →
+// The library's layers grew bottom-up: multi_granularity_reorder →
 // JigsawFormat → jigsaw_plan/jigsaw_run for the trusted path,
-// run_spmm_checked for the degrade-don't-die tier, hybrid_plan/hybrid_run
-// for the §4.7 mixed-unit extension. A serving system needs exactly one:
+// checked_compile's panel degradation for the degrade-don't-die tier,
+// hybrid_plan/hybrid_run for the §4.7 mixed-unit extension. A serving
+// system needs exactly one entry point:
 //
 //   Engine engine;
 //   auto handle = engine.compile(a, options);        // expensive, cached
@@ -20,9 +21,9 @@
 //
 //   kRaw      the trusted jigsaw_plan/jigsaw_run path; a matrix that
 //             fails the §4.3 reorder is a typed kReorderFailed error;
-//   kChecked  (the kAuto default) the checked tier: failed panels degrade
-//             onto the hybrid dense-TC/CUDA-core pipes, the answer stays
-//             exact;
+//   kChecked  (the kAuto default) the checked tier: compiles at
+//             block_tile, failed panels degrade onto the hybrid
+//             dense-TC/CUDA-core pipes, the answer stays exact;
 //   kHybrid   the §4.7 density router for every matrix, failed or not.
 //
 // Everything the engine returns crosses an untrusted serving boundary, so
@@ -37,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -154,10 +156,10 @@ struct CompiledMatrix {
 /// is analyzable.) Engine::update is the only writer and serializes on
 /// writer_mu; it takes head_mu only for the final pointer swap, never
 /// while replanning. The head is weak to break the cycle with
-/// CompiledMatrix::lineage: the plan cache (which Engine::update inserts
-/// every new generation into) is what keeps the newest generation
-/// resident, and latest() falls back to the caller's own handle if the
-/// head has been evicted and dropped everywhere.
+/// CompiledMatrix::lineage; the Engine that published it owns the newest
+/// generation strongly (Engine::heads_), so neither cache eviction nor
+/// clear_cache rolls latest() back. latest() falls back to the caller's
+/// own handle only once that Engine is destroyed.
 struct Lineage {
   /// Snapshot of the published head; promote outside the lock.
   [[nodiscard]] std::weak_ptr<const CompiledMatrix> head() const
@@ -241,8 +243,8 @@ class Engine {
 
   /// Latest published generation of the handle's lineage — one brief
   /// head-pointer copy, safe to call per request on the submit hot path.
-  /// Non-updatable handles (and a lineage whose head was evicted and
-  /// dropped everywhere) return the handle itself.
+  /// Non-updatable handles (and a lineage whose publishing Engine has
+  /// been destroyed) return the handle itself.
   [[nodiscard]] static std::shared_ptr<const CompiledMatrix> latest(
       const std::shared_ptr<const CompiledMatrix>& handle);
 
@@ -263,14 +265,27 @@ class Engine {
       const CompiledMatrix& base, const DenseMatrix<fp16_t>& a2,
       const std::vector<bool>& row_dirty) const;
 
-  /// Shared artifact tail: validates both layout formats, computes the
-  /// resident footprint (retaining the operand for hybrid/updatable
-  /// artifacts), and stamps the updatable flag.
+  /// Shared artifact tail and the one format enforcer: validates every
+  /// format the artifact carries, computes the resident footprint
+  /// (retaining the operand for hybrid/updatable artifacts), and stamps
+  /// the updatable flag.
   [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm,
                                          const DenseMatrix<fp16_t>& a) const;
 
+  /// Makes `head` its lineage's strongly owned head, and retires every
+  /// lineage nothing outside heads_ can reach any more: its head is held
+  /// only here and no other generation holds its cell, so no caller can
+  /// pass it to latest() or update() again.
+  void own_head(std::shared_ptr<const CompiledMatrix> head)
+      EXCLUDES(heads_mu_);
+
   EngineConfig config_;
   PlanCache cache_;
+  Mutex heads_mu_;
+  /// Published head of every lineage this engine has updated. The plan
+  /// cache may evict or clear a head; this table keeps it alive.
+  std::unordered_map<const Lineage*, std::shared_ptr<const CompiledMatrix>>
+      heads_ GUARDED_BY(heads_mu_);
   ThreadPool pool_;
 };
 

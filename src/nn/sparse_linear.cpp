@@ -22,7 +22,7 @@ SparseLinear::SparseLinear(VectorSparseMatrix weights, std::vector<float> bias,
   } else {
     bias_.clear();
   }
-  core::JigsawPlanOptions po;
+  core::EngineOptions::Compile po;
   po.version = options_.version;
   plan_ = core::jigsaw_plan(weights_.values(), po);
 }
@@ -54,7 +54,7 @@ Forward SparseLinear::forward(const DenseMatrix<fp16_t>& x,
   JIGSAW_CHECK_MSG(x.rows() == in_features(),
                    options_.name << ": input has " << x.rows()
                                  << " features, expected " << in_features());
-  core::JigsawRunOptions ro;
+  core::EngineOptions::Run ro;
   ro.epilogue.activation = options_.activation;
   if (!bias_.empty()) ro.epilogue.bias = &bias_;
   auto run = core::jigsaw_run(plan_, x, cost_model, ro);

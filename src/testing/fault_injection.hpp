@@ -1,4 +1,4 @@
-// Reusable fault-injection library for the checked execution tier.
+// Reusable fault-injection library for the format trust boundary.
 //
 // Grown out of the FormatSurgeon that used to live inside
 // tests/test_fault_injection.cpp: a friend of JigsawFormat that can break
@@ -8,8 +8,8 @@
 // corruption is deterministic given its seed, so a failing case replays
 // from a printed (class, seed) pair.
 //
-// Used by tests/test_checked.cpp, tests/test_fault_injection.cpp and the
-// tools/fuzz_format blob fuzzer.
+// Used by tests/test_fault_injection.cpp and the tools/fuzz_format blob
+// fuzzer.
 #pragma once
 
 #include <cstdint>

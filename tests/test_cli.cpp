@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -25,11 +29,23 @@ CliResult run_cli(const std::vector<std::string>& args) {
   return {code, out.str(), err.str()};
 }
 
+/// A temp-file path private to the running test. ctest runs every test in
+/// its own process, in parallel, so a shared fixed name would let one
+/// test's TearDown delete a file another test is still reading.
+std::string test_path(const std::string& extension) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string name = std::string("jigsaw_cli_") +
+                           info->test_suite_name() + "_" + info->name() +
+                           "_" + std::to_string(::getpid()) + extension;
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
 class CliFiles : public ::testing::Test {
  protected:
   void SetUp() override {
-    mtx_ = "/tmp/jigsaw_cli_test.mtx";
-    jsf_ = "/tmp/jigsaw_cli_test.jsf";
+    mtx_ = test_path(".mtx");
+    jsf_ = test_path(".jsf");
     const auto r = run_cli({"generate", "--rows", "64", "--cols", "128",
                             "--sparsity", "0.9", "--vector-width", "4",
                             "--seed", "7", "--out", mtx_});
@@ -79,14 +95,18 @@ TEST(Cli, UnknownCommandFails) {
 }
 
 TEST(Cli, UnknownFlagFails) {
+  const std::string out = test_path(".mtx");
   const auto r = run_cli({"generate", "--rows", "8", "--cols", "8",
-                          "--out", "/tmp/x.mtx", "--bogus", "1"});
+                          "--out", out, "--bogus", "1"});
+  std::remove(out.c_str());
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("--bogus"), std::string::npos);
 }
 
 TEST(Cli, GenerateRequiresShape) {
-  const auto r = run_cli({"generate", "--out", "/tmp/x.mtx"});
+  const std::string out = test_path(".mtx");
+  const auto r = run_cli({"generate", "--out", out});
+  std::remove(out.c_str());
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("--rows"), std::string::npos);
 }

@@ -12,10 +12,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/checked.hpp"
 #include "core/hybrid.hpp"
 #include "core/kernel.hpp"
 #include "dlmc/suite.hpp"
+#include "engine/engine.hpp"
 #include "matrix/reference.hpp"
 
 namespace jigsaw::core {
@@ -64,7 +64,7 @@ TEST(Differential, EveryKernelVersionMatchesDenseReference) {
     for (const auto version :
          {KernelVersion::kV0, KernelVersion::kV1, KernelVersion::kV2,
           KernelVersion::kV3, KernelVersion::kV4}) {
-      JigsawPlanOptions po;
+      EngineOptions::Compile po;
       po.version = version;
       const auto run = jigsaw_run(jigsaw_plan(a, po), b, cm);
       ASSERT_TRUE(run.c.has_value());
@@ -97,39 +97,27 @@ TEST(Differential, MetadataLayoutsAreBitwiseEquivalent) {
 }
 
 TEST(Differential, CheckedTierMatchesDenseReference) {
-  // The checked tier may reroute failed panels through the hybrid pipes
-  // (common at the dense end of the sweep); whatever it absorbed, the
-  // answer must stay exact to within accumulation tolerance.
-  const gpusim::CostModel cm;
+  // The engine's default checked route may reroute failed panels through
+  // the hybrid pipes (common at the dense end of the sweep); whatever it
+  // absorbed, the answer must stay exact to within accumulation
+  // tolerance.
+  engine::Engine engine({.worker_threads = 1});
   for (const SweepCase& c : sweep_cases()) {
     const auto a = lhs_for(c);
     const auto b = dlmc::make_rhs(c.k, kN, c.seed + 2000);
     const auto ref = reference_gemm(a, b);
-    const auto result = run_spmm_checked(a, b, cm);
+    const auto compiled = engine.compile(a);
+    ASSERT_TRUE(compiled.ok()) << describe(c) << ": "
+                               << compiled.status().to_string();
+    const engine::CompiledMatrix& handle = *compiled.value();
+    ASSERT_EQ(handle.policy, ExecutionPolicy::kChecked);
+    const auto result = engine.execute(handle, b);
     ASSERT_TRUE(result.ok()) << describe(c) << ": "
                              << result.status().to_string();
-    const CheckedRunResult& run = result.value();
-    EXPECT_TRUE(allclose(run.c, ref, c.k))
-        << describe(c) << " max diff " << max_abs_diff(run.c, ref);
-    EXPECT_LE(run.degradation.panels_degraded,
-              run.degradation.panels_total);
-    EXPECT_EQ(run.degradation.validation_failures, 0u) << describe(c);
-  }
-}
-
-TEST(Differential, CheckedFormatPathIsBitwiseThePlainComputePath) {
-  // run_spmm_checked(format, b) is jigsaw_compute plus validation; when
-  // validation passes the numbers must be the very same.
-  for (const SweepCase& c : sweep_cases()) {
-    const auto a = lhs_for(c);
-    const auto b = dlmc::make_rhs(c.k, kN, c.seed + 3000);
-    const auto format =
-        JigsawFormat::build(a, multi_granularity_reorder(a));
-    DegradationReport report;
-    const auto checked = run_spmm_checked(format, b, &report);
-    ASSERT_TRUE(checked.ok()) << describe(c);
-    EXPECT_EQ(report.validation_failures, 0u);
-    EXPECT_TRUE(checked.value() == jigsaw_compute(format, b)) << describe(c);
+    EXPECT_TRUE(allclose(result.value(), ref, c.k))
+        << describe(c) << " max diff " << max_abs_diff(result.value(), ref);
+    EXPECT_LE(handle.degradation.panels_degraded,
+              handle.degradation.panels_total);
   }
 }
 

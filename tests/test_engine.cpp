@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
 #include <vector>
 
 #include "common/status.hpp"
+#include "core/checked.hpp"
 #include "dlmc/suite.hpp"
 #include "engine/engine.hpp"
 #include "matrix/reference.hpp"
@@ -51,16 +53,15 @@ DenseMatrix<fp16_t> sample_lhs(std::uint64_t seed = 11) {
   return dlmc::make_lhs({64, 128}, 0.8, 4, seed).values();
 }
 
-/// The reorder-breaking matrix from tests/test_checked.cpp: at
-/// BLOCK_TILE 16, panel 0 holds an all-ones 16x16 block (every row has 16
-/// nonzeros — structurally impossible under 2:4) plus one straggler
-/// column; panel 1 is trivially compliant.
+/// Reorder-breaking matrix: at BLOCK_TILE 16, panel 0 holds an all-ones
+/// 16x16 block (every row has 16 nonzeros — structurally impossible under
+/// 2:4) plus one straggler column; panel 1 is trivially compliant.
 DenseMatrix<fp16_t> adversarial_matrix() {
   DenseMatrix<fp16_t> a(32, 32);
   for (std::size_t r = 0; r < 16; ++r) {
     for (std::size_t c = 0; c < 16; ++c) a(r, c) = fp16_t(1.0f);
   }
-  a(5, 24) = fp16_t(2.0f);
+  a(5, 24) = fp16_t(2.0f);  // nnz 1 in the panel -> CUDA-core fallback
   for (std::size_t r = 0; r < 16; ++r) {
     a(16 + r, r) = fp16_t(0.5f + 0.03125f * static_cast<float>(r));
   }
@@ -262,13 +263,102 @@ TEST(EnginePolicy, CheckedPolicyDegradesTheSameFaultAndStaysExact) {
   const CompiledMatrix& handle = *compiled.value();
   EXPECT_TRUE(handle.degraded);
   ASSERT_TRUE(handle.hybrid.has_value());
-  EXPECT_EQ(handle.degradation.panels_degraded, 1u);
-  EXPECT_EQ(handle.degradation.panels_total, 2u);
+  const core::DegradationReport& deg = handle.degradation;
+  EXPECT_EQ(deg.panels_degraded, 1u);
+  EXPECT_EQ(deg.panels_total, 2u);
+  // The failed panel's 16 dense columns go to the dense tensor core, the
+  // single-nonzero straggler to the CUDA cores.
+  EXPECT_EQ(deg.fallback_dense_columns, 16u);
+  EXPECT_EQ(deg.fallback_cuda_columns, 1u);
+  ASSERT_EQ(deg.notes.size(), 1u);
+  EXPECT_NE(deg.notes[0].find("panel 0"), std::string::npos);
 
   const auto b = dlmc::make_rhs(a.cols(), 16, 7);
   auto result = engine.submit(compiled.value(), b).get();
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_TRUE(allclose(result.value(), reference_gemm(a, b), a.cols()));
+}
+
+// ---- The checked tier: Engine's argument checks, core's degradation step --
+
+TEST(CheckedRun, RejectsBadArguments) {
+  // Under kChecked every argument check is Engine's: an empty A, a
+  // BLOCK_TILE outside {16, 32, 64} and a B whose rows miss A's columns
+  // come back as typed kInvalidArgument.
+  const DenseMatrix<fp16_t> a(32, 32);
+  Engine engine;
+  EngineOptions options;
+  options.policy = ExecutionPolicy::kChecked;
+  EXPECT_EQ(engine.compile(DenseMatrix<fp16_t>(), options).status().code(),
+            StatusCode::kInvalidArgument);
+  auto compiled = engine.compile(a, options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  EXPECT_EQ(engine.execute(*compiled.value(), dlmc::make_rhs(31, 8, 1))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  options.compile.block_tile = 24;
+  EXPECT_EQ(engine.compile(a, options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CheckedRun, ReorderFailureDegradesToHybridAndStaysExact) {
+  const auto a = adversarial_matrix();
+  const auto b = dlmc::make_rhs(a.cols(), 16, 7);
+  EngineOptions::Compile compile;
+  compile.block_tile = 16;
+
+  // Sanity: the plain tier really cannot hold this panel in the SpTC path.
+  core::ReorderOptions ropts;
+  ropts.tile.block_tile_m = 16;
+  ASSERT_FALSE(core::multi_granularity_reorder(a, ropts).success());
+
+  const core::CheckedArtifact art = core::checked_compile(a, compile);
+  ASSERT_TRUE(art.hybrid.has_value());
+  const core::DegradationReport& deg = art.degradation;
+  EXPECT_TRUE(deg.degraded());
+  EXPECT_EQ(deg.panels_total, 2u);
+  EXPECT_EQ(deg.panels_degraded, 1u);
+  EXPECT_EQ(deg.fallback_dense_columns, 16u);
+  EXPECT_EQ(deg.fallback_cuda_columns, 1u);
+  ASSERT_EQ(deg.notes.size(), 1u);
+  EXPECT_NE(deg.notes[0].find("panel 0"), std::string::npos);
+  // The SpTC subset left once the failed panel's columns leave is a
+  // valid format...
+  const Status valid = art.hybrid->format.validate();
+  EXPECT_TRUE(valid.ok()) << valid.to_string();
+
+  // ...and the product is exact despite the panel leaving the SpTC path.
+  const core::HybridRunResult run =
+      core::hybrid_run(*art.hybrid, a, b, gpusim::CostModel());
+  ASSERT_TRUE(run.c.has_value());
+  EXPECT_TRUE(allclose(*run.c, reference_gemm(a, b), a.cols()));
+}
+
+TEST(EnginePolicy, CleanMatrixBuildsTwoFormatsAndStaysUndegraded) {
+  // The default (checked) route builds exactly the artifact's layout
+  // pair: the degradation step builds no SpTC format of its own.
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  Engine engine;
+  const auto a = sample_lhs();
+  auto compiled = engine.compile(a);
+  obs::set_metrics_enabled(false);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  EXPECT_EQ(counter_value("format.builds"), 2.0);
+
+  const CompiledMatrix& handle = *compiled.value();
+  EXPECT_EQ(handle.policy, ExecutionPolicy::kChecked);
+  EXPECT_FALSE(handle.degraded);
+  EXPECT_FALSE(handle.hybrid.has_value());
+  EXPECT_EQ(handle.degradation.panels_degraded, 0u);
+  EXPECT_GT(handle.degradation.panels_total, 0u);
+
+  const auto b = dlmc::make_rhs(a.cols(), 16, 5);
+  auto result = engine.execute(handle, b);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_TRUE(allclose(result.value(), reference_gemm(a, b), a.cols()));
+  EXPECT_GT(engine.cost(handle, b.cols()).duration_us, 0.0);
 }
 
 TEST(EnginePolicy, HybridAndRawRoutesMatchTheReference) {
@@ -412,22 +502,6 @@ TEST(EngineConcurrency, MixedMatricesInFlightStayIsolated) {
 }
 
 // ---- Options surface ------------------------------------------------------
-
-TEST(EngineOptionsSurface, CheckedShimRoundTrips) {
-  core::CheckedRunOptions shim;
-  shim.tile.block_tile_m = 32;
-  shim.cuda_fallback_max_nnz = 5;
-  shim.reorder.seed = 1234;
-  const EngineOptions options = shim.to_engine_options();
-  EXPECT_EQ(options.policy, ExecutionPolicy::kChecked);
-  EXPECT_EQ(options.compile.block_tile, 32);
-  EXPECT_EQ(options.compile.cuda_route_max_nnz, 5u);
-  EXPECT_EQ(options.compile.reorder.seed, 1234u);
-  const core::CheckedRunOptions back = core::checked_options_from(options);
-  EXPECT_EQ(back.tile.block_tile_m, 32);
-  EXPECT_EQ(back.cuda_fallback_max_nnz, 5u);
-  EXPECT_EQ(back.reorder.seed, 1234u);
-}
 
 TEST(EngineOptionsSurface, HashCoversPlanAffectingKnobsOnly) {
   const EngineOptions base;

@@ -10,8 +10,9 @@
 //     JigsawFormat::rebuild_panels) trustworthy: it is a pure
 //     optimization, never a semantic fork.
 //   * RCU generation semantics: Engine::latest follows the lineage head,
-//     old handles keep serving their own generation, and the plan cache
-//     retires exactly the superseded key.
+//     old handles keep serving their own generation, the plan cache
+//     retires exactly the superseded key, and neither clear_cache nor
+//     eviction rolls latest() back (the engine owns the head).
 //   * Failure atomicity: an update that fails mid-replan (reorder failure
 //     under kRaw, cache capacity exhaustion) returns a typed Status and
 //     leaves the old generation published, cached, and bit-identical.
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/status.hpp"
@@ -261,6 +263,59 @@ TEST(EngineUpdate, LatestFollowsTheLineageAndOldHandlesKeepServing) {
   ASSERT_TRUE(updated2.ok());
   EXPECT_EQ(updated2.value()->generation, 2u);
   EXPECT_EQ(updated2.value()->matrix_hash, matrix_content_hash(mirror));
+}
+
+TEST(EngineUpdate, ClearedCacheNeverRollsLatestBack) {
+  // The writer drops the generation update returned and the cache is
+  // cleared, so no caller and no cache entry holds the head any more:
+  // latest() must still name generation 1, not fall back to gen0.
+  EngineOptions options;
+  options.compile.updatable = true;
+  DenseMatrix<fp16_t> mirror = dlmc::make_lhs({64, 128}, 0.8, 4, 7211).values();
+  Engine engine;
+  auto gen0 = engine.compile(mirror, options).value();
+  Rng rng(7212);
+  ASSERT_TRUE(engine.update(gen0, random_delta(rng, mirror, 12)).ok());
+  engine.clear_cache();
+  ASSERT_EQ(engine.cache_stats().entries, 0u);
+
+  const auto head = Engine::latest(gen0);
+  EXPECT_EQ(head->generation, 1u);
+  EXPECT_EQ(head->matrix_hash, matrix_content_hash(mirror));
+  const auto b = dlmc::make_rhs(mirror.cols(), 16, 7213);
+  Engine reference;
+  auto fresh = reference.compile(mirror, options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().to_string();
+  auto expected = reference.execute(*fresh.value(), b);
+  auto served = engine.execute(*head, b);
+  ASSERT_TRUE(expected.ok() && served.ok());
+  EXPECT_TRUE(bit_identical(served.value(), expected.value()));
+}
+
+TEST(EngineUpdate, UnreachableLineageIsRetiredByTheNextUpdate) {
+  // Once every handle of a lineage is gone and the cache no longer holds
+  // its head, the engine's strong head is the lineage's last owner; the
+  // next update through any lineage frees it.
+  EngineOptions options;
+  options.compile.updatable = true;
+  Engine engine;
+  Rng rng(7221);
+  DenseMatrix<fp16_t> first = dlmc::make_lhs({64, 128}, 0.8, 4, 7222).values();
+  std::weak_ptr<const CompiledMatrix> first_head;
+  {
+    auto gen0 = engine.compile(first, options).value();
+    ASSERT_TRUE(engine.update(gen0, random_delta(rng, first, 12)).ok());
+    first_head = Engine::latest(gen0);
+  }
+  engine.clear_cache();
+  EXPECT_FALSE(first_head.expired());  // only the engine holds it now
+
+  DenseMatrix<fp16_t> second =
+      dlmc::make_lhs({64, 128}, 0.8, 4, 7223).values();
+  auto other = engine.compile(second, options).value();
+  ASSERT_TRUE(engine.update(other, random_delta(rng, second, 12)).ok());
+  EXPECT_TRUE(first_head.expired());
+  EXPECT_EQ(Engine::latest(other)->generation, 1u);
 }
 
 TEST(EngineUpdate, NonUpdatableHandleIsInvalidArgument) {

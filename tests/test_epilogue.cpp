@@ -76,7 +76,7 @@ TEST(Epilogue, FusedMatchesUnfusedReference) {
   gpusim::CostModel cm;
   const auto plan = jigsaw_plan(p.a, {});
 
-  JigsawRunOptions opts;
+  EngineOptions::Run opts;
   opts.epilogue.bias = &p.bias;
   opts.epilogue.activation = Epilogue::Activation::kRelu;
   const auto run = jigsaw_run(plan, p.b, cm, opts);
@@ -97,7 +97,7 @@ TEST(Epilogue, CostAccountsForFusion) {
   const auto plan = jigsaw_plan(p.a, {});
 
   const auto plain = jigsaw_run(plan, p.b, cm, {.compute_values = false});
-  JigsawRunOptions opts;
+  EngineOptions::Run opts;
   opts.compute_values = false;
   opts.epilogue.bias = &p.bias;
   opts.epilogue.activation = Epilogue::Activation::kGelu;
@@ -116,7 +116,7 @@ TEST(Epilogue, CostAccountsForFusion) {
 TEST(Epilogue, BiasOnlyKeepsNegativeValues) {
   const auto p = make_problem(9);
   gpusim::CostModel cm;
-  JigsawRunOptions opts;
+  EngineOptions::Run opts;
   opts.epilogue.bias = &p.bias;
   const auto run = jigsaw_run(jigsaw_plan(p.a, {}), p.b, cm, opts);
   bool any_negative = false;

@@ -89,7 +89,7 @@ TEST(EventSim, JigsawEventCostMatchesAnalyticOnUniformPanels) {
   o.seed = 3;
   const auto a = VectorSparseGenerator::generate(o);
   gpusim::CostModel cm;
-  core::JigsawPlanOptions po;
+  core::EngineOptions::Compile po;
   po.version = core::KernelVersion::kV4;
   const auto plan = core::jigsaw_plan(a.values(), po);
   // BT=64: each panel averages 4x 16-row slices, so per-panel work is

@@ -40,7 +40,7 @@ TEST(JigsawKernel, MatchesReferenceAcrossVersions) {
   for (const auto version :
        {KernelVersion::kV0, KernelVersion::kV1, KernelVersion::kV2,
         KernelVersion::kV3, KernelVersion::kV4}) {
-    JigsawPlanOptions po;
+    EngineOptions::Compile po;
     po.version = version;
     const auto plan = jigsaw_plan(a, po);
     const auto run = jigsaw_run(plan, b, cm);
@@ -86,7 +86,7 @@ TEST(JigsawKernel, DenseInputStillCorrectViaSplitting) {
   const auto b = random_b(48, 16, 8);
   const auto ref = reference_gemm(a, b);
   gpusim::CostModel cm;
-  JigsawPlanOptions po;
+  EngineOptions::Compile po;
   po.version = KernelVersion::kV1;
   po.block_tile = 32;
   const auto plan = jigsaw_plan(a, po);
@@ -110,7 +110,7 @@ TEST(JigsawKernel, PlanBuildsThreeCandidatesForV4) {
   const auto a = vector_sparse(64, 128, 0.9, 4, 10);
   const auto plan = jigsaw_plan(a, {});
   EXPECT_EQ(plan.formats.size(), 3u);
-  JigsawPlanOptions po;
+  EngineOptions::Compile po;
   po.version = KernelVersion::kV2;
   EXPECT_EQ(jigsaw_plan(a, po).formats.size(), 1u);
 }
@@ -152,7 +152,7 @@ TEST(JigsawKernel, BankConflictsEliminatedByV1) {
   // layout; v1 must remove (nearly) all of them — §4.4 reports 99.48%.
   const auto a = vector_sparse(256, 512, 0.95, 8, 13);
   gpusim::CostModel cm;
-  JigsawPlanOptions po;
+  EngineOptions::Compile po;
   po.version = KernelVersion::kV0;
   po.block_tile = 64;
   const auto p0 = jigsaw_plan(a, po);
@@ -173,7 +173,7 @@ TEST(JigsawKernel, AblationMonotoneSpeedup) {
   for (const auto version :
        {KernelVersion::kV0, KernelVersion::kV1, KernelVersion::kV2,
         KernelVersion::kV3, KernelVersion::kV4}) {
-    JigsawPlanOptions po;
+    EngineOptions::Compile po;
     po.version = version;
     po.block_tile = 64;
     const auto plan = jigsaw_plan(a, po);
@@ -188,7 +188,7 @@ TEST(JigsawKernel, AblationMonotoneSpeedup) {
 TEST(JigsawKernel, DeepPipelineReducesLongScoreboard) {
   const auto a = vector_sparse(256, 512, 0.95, 8, 16);
   gpusim::CostModel cm;
-  JigsawPlanOptions po;
+  EngineOptions::Compile po;
   po.version = KernelVersion::kV1;
   po.block_tile = 64;
   const auto f1 = jigsaw_plan(a, po).formats[0];
@@ -200,7 +200,7 @@ TEST(JigsawKernel, DeepPipelineReducesLongScoreboard) {
 TEST(JigsawKernel, InterleavedMetadataReducesInstructionsAndSmem) {
   const auto a = vector_sparse(256, 512, 0.95, 8, 17);
   gpusim::CostModel cm;
-  JigsawPlanOptions po;
+  EngineOptions::Compile po;
   po.version = KernelVersion::kV2;
   po.block_tile = 64;
   const auto f = jigsaw_plan(a, po).formats[0];
