@@ -246,7 +246,6 @@ int cmd_run(const Args& args, std::ostream& out) {
     } else {
       format = core::load_format_file(input);
     }
-    const auto b = random_rhs(format.cols(), n, seed);
     const auto report =
         core::jigsaw_cost(format, n, core::KernelVersion::kV4, cm);
     print_report(report, out);

@@ -53,8 +53,8 @@ inline const char* to_string(StatusCode code) {
 /// Error code plus human-readable detail. Default-constructed is OK.
 /// The class itself is [[nodiscard]]: a dropped Status is a silently
 /// swallowed failure, so every call site must consume or propagate it
-/// (JIGSAW_RETURN_IF_ERROR) — enforced again, source-level, by the
-/// `nodiscard-status` and `discarded-status` rules of tools/jigsaw_lint.
+/// (JIGSAW_RETURN_IF_ERROR). The build adds -Werror=unused-result, so a
+/// dropped Status or Result is a compile error, not a warning.
 class [[nodiscard]] Status {
  public:
   Status() = default;

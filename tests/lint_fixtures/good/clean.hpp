@@ -4,14 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace fixture {
-
-class Status {};
-
-[[nodiscard]] Status parse_ok(const std::string& blob);
 
 inline std::uint64_t count_rows(const std::vector<int>& rows) {
   return rows.size();

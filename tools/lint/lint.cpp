@@ -372,19 +372,7 @@ bool path_contains(const std::string& path, const std::string& piece) {
   return path.find(piece) != std::string::npos;
 }
 
-// ---- Declaration scanning (shared by nodiscard-status and the
-// ---- discarded-status name collection) -----------------------------------
-
-/// Declaration-starter tokens: a Status/Result type token directly after
-/// one of these (at paren depth 0) begins a declaration's type.
-bool is_decl_starter(const Token& t) {
-  static const std::set<std::string> kStarters = {
-      ";",      "{",     "}",         ":",        "]]",    ">",
-      "inline", "static", "constexpr", "virtual", "explicit",
-      "typename", "const",
-  };
-  return kStarters.count(t.text) > 0;
-}
+// ---- Token helpers -------------------------------------------------------
 
 /// Skips a balanced `<...>` starting at tokens[j] (which must be `<`).
 /// Returns the index one past the closing `>`. `>>` counts double.
@@ -400,191 +388,6 @@ std::size_t skip_template_args(const std::vector<Token>& toks,
     if (depth <= 0 && (t == ">" || t == ">>")) return j + 1;
   }
   return j;
-}
-
-struct DeclInfo {
-  std::size_t type_index = 0;  ///< index of the Status/Result token
-  std::size_t name_index = 0;  ///< index of the function-name token
-  bool has_nodiscard = false;
-  bool is_friend = false;
-};
-
-/// Finds function declarations whose return type is spelled `type_name`
-/// (by value, at paren depth 0). Token-level approximation: see
-/// docs/STATIC_ANALYSIS.md for the exact pattern and its blind spots.
-std::vector<DeclInfo> find_value_decls(const SourceFile& f,
-                                       const std::string& type_name) {
-  std::vector<DeclInfo> decls;
-  const std::vector<Token>& toks = f.tokens;
-  int paren_depth = 0;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == Kind::kPunct) {
-      if (t.text == "(") ++paren_depth;
-      if (t.text == ")") --paren_depth;
-      continue;
-    }
-    if (paren_depth != 0 || t.kind != Kind::kIdent || t.text != type_name) {
-      continue;
-    }
-    bool is_friend = false;
-    if (i > 0) {
-      const Token& prev = toks[i - 1];
-      if (ident_is(prev, "friend")) {
-        is_friend = true;
-      } else if (!is_decl_starter(prev)) {
-        continue;  // qualified name, template argument, return value, ...
-      }
-    }
-    std::size_t j = i + 1;
-    if (type_name == "Result" && j < toks.size() &&
-        punct_is(toks[j], "<")) {
-      j = skip_template_args(toks, j);
-    }
-    if (j >= toks.size()) continue;
-    if (punct_is(toks[j], "&") || punct_is(toks[j], "*")) {
-      continue;  // reference/pointer return: discard is harmless
-    }
-    if (toks[j].kind != Kind::kIdent || j + 1 >= toks.size() ||
-        !punct_is(toks[j + 1], "(")) {
-      continue;  // variable declaration, constructor call, ...
-    }
-    DeclInfo d;
-    d.type_index = i;
-    d.name_index = j;
-    d.is_friend = is_friend;
-    // Scan the declaration prefix back to the previous terminator for a
-    // [[nodiscard]] attribute.
-    for (std::size_t k = i; k-- > 0;) {
-      const std::string& back = toks[k].text;
-      if (back == ";" || back == "{" || back == "}" || back == ":") break;
-      if (ident_is(toks[k], "nodiscard")) {
-        d.has_nodiscard = true;
-        break;
-      }
-    }
-    decls.push_back(d);
-  }
-  return decls;
-}
-
-/// Collects function names declared in `f` with a non-Status/Result
-/// value return type (`T name(`) — used to drop ambiguous names from
-/// the discarded-status set.
-void collect_other_decl_names(const SourceFile& f,
-                              std::set<std::string>& names) {
-  const std::vector<Token>& toks = f.tokens;
-  int paren_depth = 0;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == Kind::kPunct) {
-      if (t.text == "(") ++paren_depth;
-      if (t.text == ")") --paren_depth;
-      continue;
-    }
-    if (paren_depth != 0 || t.kind != Kind::kIdent) continue;
-    if (t.text == "Status" || t.text == "Result") continue;
-    if (i > 0 && !is_decl_starter(toks[i - 1])) continue;
-    std::size_t j = i + 1;
-    if (punct_is(toks[j], "<")) j = skip_template_args(toks, j);
-    if (j + 1 < toks.size() && toks[j].kind == Kind::kIdent &&
-        punct_is(toks[j + 1], "(")) {
-      names.insert(toks[j].text);
-    }
-  }
-}
-
-// ---- Rule: nodiscard-status ----------------------------------------------
-
-void rule_nodiscard_status(const SourceFile& f,
-                           std::vector<Finding>& findings) {
-  if (!f.is_header) return;
-  for (const char* type_name : {"Status", "Result"}) {
-    for (const DeclInfo& d : find_value_decls(f, type_name)) {
-      if (d.has_nodiscard || d.is_friend) continue;
-      report(findings, f, f.tokens[d.name_index].line, "nodiscard-status",
-             "'" + f.tokens[d.name_index].text + "' returns " + type_name +
-                 " by value but is not [[nodiscard]]: a dropped error is a "
-                 "silently swallowed failure");
-    }
-  }
-}
-
-// ---- Rule: discarded-status ----------------------------------------------
-
-/// Function names that collide with common std container/algorithm
-/// members; statement-level calls to these are never flagged (the
-/// compiler's [[nodiscard]] diagnostics cover them precisely).
-const std::set<std::string>& std_member_names() {
-  static const std::set<std::string> kNames = {
-      "insert", "erase",  "emplace", "count", "find",  "at",   "get",
-      "size",   "reset",  "swap",    "begin", "end",   "load", "store",
-      "exchange", "wait", "test",    "clear", "push_back",
-  };
-  return kNames;
-}
-
-const std::set<std::string>& statement_keywords() {
-  static const std::set<std::string> kKeywords = {
-      "if",     "while",  "for",      "return",   "switch",  "case",
-      "do",     "else",   "break",    "continue", "goto",    "using",
-      "namespace", "class", "struct", "enum",     "template", "typedef",
-      "static_assert", "delete", "throw", "public", "private",
-      "protected", "default", "try", "catch", "co_return", "co_await",
-      "new", "sizeof", "constexpr", "const", "static", "inline", "auto",
-      "void", "bool", "int", "char", "float", "double", "unsigned",
-      "signed", "long", "short", "friend", "explicit", "virtual",
-      "operator", "extern",
-  };
-  return kKeywords;
-}
-
-void rule_discarded_status(const SourceFile& f,
-                           const std::set<std::string>& status_names,
-                           std::vector<Finding>& findings) {
-  const std::vector<Token>& toks = f.tokens;
-  // Statement starts: the token after `;`, `{`, or `}` (plus index 0).
-  for (std::size_t s = 0; s < toks.size(); ++s) {
-    if (s != 0) {
-      const std::string& prev = toks[s - 1].text;
-      if (toks[s - 1].kind != Kind::kPunct ||
-          (prev != ";" && prev != "{" && prev != "}")) {
-        continue;
-      }
-    }
-    if (toks[s].kind != Kind::kIdent) continue;
-    if (statement_keywords().count(toks[s].text) > 0) continue;
-    // Walk the call chain: ident (:: . ->) ident ... followed by `(`.
-    std::size_t j = s;
-    std::string name = toks[j].text;
-    while (j + 1 < toks.size()) {
-      const Token& next = toks[j + 1];
-      if (punct_is(next, "::") || punct_is(next, ".") ||
-          punct_is(next, "->")) {
-        if (j + 2 >= toks.size() || toks[j + 2].kind != Kind::kIdent) break;
-        name = toks[j + 2].text;
-        j += 2;
-        continue;
-      }
-      break;
-    }
-    if (j + 1 >= toks.size() || !punct_is(toks[j + 1], "(")) continue;
-    if (status_names.count(name) == 0) continue;
-    // Find the matching close paren, then require the call to be the
-    // whole statement (`);`) for a finding.
-    int depth = 0;
-    std::size_t k = j + 1;
-    for (; k < toks.size(); ++k) {
-      if (punct_is(toks[k], "(")) ++depth;
-      if (punct_is(toks[k], ")") && --depth == 0) break;
-    }
-    if (k + 1 < toks.size() && punct_is(toks[k + 1], ";")) {
-      report(findings, f, toks[j].line, "discarded-status",
-             "call to '" + name + "' discards its Status/Result: "
-             "propagate with JIGSAW_RETURN_IF_ERROR, consume the value, "
-             "or annotate intent with (void) plus a jigsaw-lint allow");
-    }
-  }
 }
 
 // ---- Rule: bounded-alloc -------------------------------------------------
@@ -1060,9 +863,9 @@ SourceFile load_source(const std::string& path) {
 }
 
 std::vector<std::string> rule_names() {
-  return {"nodiscard-status", "discarded-status", "bounded-alloc",
-          "no-magic-bounds",  "obs-name",         "raw-alloc",
-          "hot-path-alloc",   "header-hygiene",   "bad-suppression"};
+  return {"bounded-alloc",  "no-magic-bounds", "obs-name",
+          "raw-alloc",      "hot-path-alloc",  "header-hygiene",
+          "bad-suppression"};
 }
 
 std::vector<std::string> analyzer_rule_names() {
@@ -1084,31 +887,8 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
     for (const std::string& name : rule_names()) active.insert(name);
   }
 
-  // Cross-file context: the Status/Result-returning name set, minus any
-  // name also declared with a different value return type (ambiguous for
-  // a token-level tool) and minus common std member names.
-  std::set<std::string> status_names;
-  std::set<std::string> other_names;
-  for (const SourceFile& f : files) {
-    if (!f.is_header) continue;
-    for (const char* type_name : {"Status", "Result"}) {
-      for (const DeclInfo& d : find_value_decls(f, type_name)) {
-        status_names.insert(f.tokens[d.name_index].text);
-      }
-    }
-    collect_other_decl_names(f, other_names);
-  }
-  for (const std::string& name : other_names) status_names.erase(name);
-  for (const std::string& name : std_member_names()) {
-    status_names.erase(name);
-  }
-
   std::vector<Finding> findings;
   for (const SourceFile& f : files) {
-    if (active.count("nodiscard-status")) rule_nodiscard_status(f, findings);
-    if (active.count("discarded-status")) {
-      rule_discarded_status(f, status_names, findings);
-    }
     if (active.count("bounded-alloc")) rule_bounded_alloc(f, findings);
     if (active.count("no-magic-bounds")) rule_no_magic_bounds(f, findings);
     if (active.count("obs-name")) rule_obs_name(f, findings);

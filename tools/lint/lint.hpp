@@ -6,10 +6,6 @@
 // encoding the contracts the library's tiers rely on (docs/
 // STATIC_ANALYSIS.md):
 //
-//   nodiscard-status  every header declaration returning Status or
-//                     Result<T> by value carries [[nodiscard]]
-//   discarded-status  no statement discards a call to a function whose
-//                     header declaration returns Status/Result
 //   bounded-alloc     the untrusted-input files (core/serialize.cpp,
 //                     core/format_validate.cpp) allocate only through
 //                     annotated bounded helpers
@@ -37,10 +33,14 @@
 // as an equivalent tag for the semantic analyzer's rules). The reason
 // prose is mandatory — enforced by bad-suppression.
 //
+// A dropped Status/Result is not a lint rule: the classes are
+// [[nodiscard]] and the build compiles with -Werror=unused-result, so
+// the compiler rejects every discard precisely.
+//
 // The tool is token-level, not semantic: rules are written so that the
-// cheap approximation errs on the side of silence (e.g. discarded-status
-// drops any function name that is also declared with a non-Status return
-// somewhere), and anything it does flag is suppressible in place.
+// cheap approximation errs on the side of silence (e.g. raw-alloc skips
+// member calls that merely share a libc name, such as `pool.free()`),
+// and anything it does flag is suppressible in place.
 #pragma once
 
 #include <string>
@@ -112,8 +112,6 @@ SourceFile parse_source(std::string path, std::string content);
 SourceFile load_source(const std::string& path);
 
 /// Runs every rule (or only `rules`, when non-empty) over the file set.
-/// Cross-file context (the Status-returning name set of discarded-status)
-/// is built from the same set, so callers lint a coherent tree at once.
 std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
                                const std::vector<std::string>& rules = {});
 
