@@ -24,7 +24,11 @@ struct MagicubeConfig {
     return ((lhs_bits + 7) / 8) * ((rhs_bits + 7) / 8);
   }
   std::string label() const {
-    return "l" + std::to_string(lhs_bits) + "r" + std::to_string(rhs_bits);
+    std::string s = "l";
+    s += std::to_string(lhs_bits);
+    s += 'r';
+    s += std::to_string(rhs_bits);
+    return s;
   }
 };
 

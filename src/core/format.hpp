@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -38,10 +37,7 @@ enum class MetadataLayout : std::uint8_t {
   kInterleaved,  ///< 32 words per two mmas, one lane-indexed ldmatrix load
 };
 
-class JigsawFormat;
 class serialize_detail;
-void save_format(const JigsawFormat& format, std::ostream& os);
-JigsawFormat load_format(std::istream& is);
 
 /// Compressed, reordered sparse operand ready for the Jigsaw kernel.
 class JigsawFormat {
@@ -169,8 +165,6 @@ class JigsawFormat {
   std::size_t metadata_words_per_pair() const { return sptc::kTileRows; }
 
  private:
-  friend void save_format(const JigsawFormat& format, std::ostream& os);
-  friend JigsawFormat load_format(std::istream& is);
   friend class serialize_detail;            // v1/v2 codec (serialize.cpp)
   friend class ::jigsaw::testing::FormatSurgeon;  // fault injection
 

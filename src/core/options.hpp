@@ -101,9 +101,9 @@ struct EngineOptions {
     /// kRaw V4 (and jigsaw_plan at V4) tunes over {16, 32, 64} instead.
     int block_tile = 64;
     ReorderOptions reorder{};
-    /// Metadata layout of the extra format pair the engine keeps next to
-    /// the per-version plan (V0..V2 force kNaive, V3+ kInterleaved for
-    /// their own execution regardless).
+    /// Metadata layout of the one format an undegraded kChecked artifact
+    /// executes. kRaw formats follow their version (V0..V2 kNaive, V3+
+    /// kInterleaved); the hybrid route's SpTC subset is kInterleaved.
     MetadataLayout metadata_layout = MetadataLayout::kInterleaved;
     /// Hybrid routing (kHybrid policy): columns whose densest 16-row
     /// slice exceeds this fraction go to the dense tensor core.

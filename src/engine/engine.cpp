@@ -34,11 +34,12 @@ void fnv_mix_double(std::uint64_t& h, double v) {
   fnv_mix(h, bits);
 }
 
-/// True when this artifact executes on the hybrid dense-TC / CUDA-core
-/// pipes (always under kHybrid; under kChecked only after degradation).
-bool hybrid_route(const CompiledMatrix& handle) {
-  return handle.hybrid.has_value() &&
-         (handle.policy == ExecutionPolicy::kHybrid || handle.degraded);
+/// The layout field an undegraded kChecked artifact executes (the one
+/// CompiledMatrix::format() reads off the hybrid route).
+core::JigsawFormat& checked_format(CompiledMatrix& cm) {
+  return cm.options.metadata_layout == core::MetadataLayout::kNaive
+             ? cm.naive_format
+             : cm.interleaved_format;
 }
 
 void apply_epilogue(DenseMatrix<float>& c, const core::Epilogue& epilogue) {
@@ -216,6 +217,8 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
           cm->plan.version = options.compile.version;
           cm->plan.reorders.push_back(std::move(art.reorder));
           primary = &cm->plan.reorders.back();
+          checked_format(*cm) = core::JigsawFormat::build(
+              a, *primary, options.compile.metadata_layout);
         }
         break;
       }
@@ -247,10 +250,6 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
 
     JIGSAW_CHECK_MSG(primary != nullptr, "no primary reorder selected");
     cm->plan_fingerprint = core::plan_fingerprint(*primary);
-    cm->naive_format =
-        core::JigsawFormat::build(a, *primary, core::MetadataLayout::kNaive);
-    cm->interleaved_format = core::JigsawFormat::build(
-        a, *primary, core::MetadataLayout::kInterleaved);
   } catch (const std::exception& e) {
     return Status(StatusCode::kInternal,
                   std::string("compile raised: ") + e.what());
@@ -275,13 +274,12 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
 Status Engine::finalize_artifact(CompiledMatrix& cm,
                                  const DenseMatrix<fp16_t>& a) const {
   // Every format the artifact carries is validated here, once, and
-  // charged against the cache bound: the layout pair, the kRaw
-  // candidates jigsaw_run executes, and the SpTC subset of the hybrid
-  // pipes.
-  std::vector<const core::JigsawFormat*> formats = {&cm.naive_format,
-                                                    &cm.interleaved_format};
+  // charged against the cache bound. It carries exactly what its route
+  // executes: the kRaw candidates jigsaw_run picks among, otherwise the
+  // one format() (the SpTC subset of the hybrid pipes on that route).
+  std::vector<const core::JigsawFormat*> formats;
   for (const core::JigsawFormat& f : cm.plan.formats) formats.push_back(&f);
-  if (cm.hybrid.has_value()) formats.push_back(&cm.hybrid->format);
+  if (cm.policy != ExecutionPolicy::kRaw) formats.push_back(&cm.format());
   std::size_t bytes = 0;
   for (const core::JigsawFormat* f : formats) {
     Status valid = f->validate();
@@ -375,30 +373,25 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
       cm->plan.version = base.options.version;
       cm->plan.reorders.push_back(std::move(reorder));
       primary = &cm->plan.reorders.back();
-      cm->naive_format = base.naive_format.rebuild_panels(a2, *primary, dirty);
-      cm->interleaved_format =
-          base.interleaved_format.rebuild_panels(a2, *primary, dirty);
+      checked_format(*cm) = base.format().rebuild_panels(a2, *primary, dirty);
     } else {
       // kRaw: splice every BLOCK_TILE candidate (V4 carries three), then
       // re-run the candidate selection against the updated plans.
       const core::KernelFeatures feats =
           core::KernelFeatures::for_version(base.options.version);
       cm->plan.version = base.options.version;
-      std::vector<std::vector<std::size_t>> dirties;
-      dirties.reserve(base.plan.reorders.size());
       for (std::size_t i = 0; i < base.plan.reorders.size(); ++i) {
         core::ReorderOptions ropts = base.options.reorder;
         ropts.tile = base.plan.reorders[i].tile;
         ropts.search.bank_conflict_aware = feats.padded_smem;
         core::ReorderResult reorder = base.plan.reorders[i];
-        std::vector<std::size_t> dirty =
+        const std::vector<std::size_t> dirty =
             dirty_panels_of(row_dirty, reorder.tile.block_tile_m);
         core::reorder_panels(a2, ropts, dirty, reorder);
         panels_replanned += dirty.size();
         cm->plan.formats.push_back(
             base.plan.formats[i].rebuild_panels(a2, reorder, dirty));
         cm->plan.reorders.push_back(std::move(reorder));
-        dirties.push_back(std::move(dirty));
       }
       const auto [any_success, chosen] =
           choose_raw_candidate(cm->plan, base.options.block_tile);
@@ -410,22 +403,6 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
             "compile with ExecutionPolicy::kChecked to degrade instead");
       }
       primary = &cm->plan.reorders[chosen];
-      // The naive/interleaved pair describes the chosen candidate's
-      // layout; splice it from the base only when the base chose the same
-      // candidate, otherwise rebuild it outright.
-      const auto [base_any, base_chosen] =
-          choose_raw_candidate(base.plan, base.options.block_tile);
-      if (base_any && base_chosen == chosen) {
-        cm->naive_format =
-            base.naive_format.rebuild_panels(a2, *primary, dirties[chosen]);
-        cm->interleaved_format = base.interleaved_format.rebuild_panels(
-            a2, *primary, dirties[chosen]);
-      } else {
-        cm->naive_format = core::JigsawFormat::build(
-            a2, *primary, core::MetadataLayout::kNaive);
-        cm->interleaved_format = core::JigsawFormat::build(
-            a2, *primary, core::MetadataLayout::kInterleaved);
-      }
     }
     JIGSAW_CHECK_MSG(primary != nullptr, "no primary reorder selected");
     cm->plan_fingerprint = core::plan_fingerprint(*primary);
@@ -583,7 +560,7 @@ Result<DenseMatrix<float>> Engine::execute(
   }
   try {
     DenseMatrix<float> c(0, 0);
-    if (hybrid_route(handle)) {
+    if (handle.hybrid.has_value()) {
       core::HybridRunResult rr =
           core::hybrid_run(*handle.hybrid, handle.lhs, b, config_.cost_model,
                            {.compute_values = true, .tuning = run.tuning});
@@ -647,14 +624,14 @@ std::future<Result<DenseMatrix<float>>> Engine::submit(
 
 gpusim::KernelReport Engine::cost(const CompiledMatrix& handle, std::size_t n,
                                   const EngineOptions::Run& run) const {
-  if (hybrid_route(handle)) {
+  if (handle.hybrid.has_value()) {
     DenseMatrix<fp16_t> b(handle.cols, n);
     core::HybridRunResult rr =
         core::hybrid_run(*handle.hybrid, handle.lhs, b, config_.cost_model,
                          {.compute_values = false, .tuning = run.tuning});
     return rr.report;
   }
-  if (handle.policy == ExecutionPolicy::kRaw && !handle.plan.formats.empty()) {
+  if (handle.policy == ExecutionPolicy::kRaw) {
     gpusim::KernelReport best;
     for (std::size_t i = 0; i < handle.plan.formats.size(); ++i) {
       gpusim::KernelReport report = core::jigsaw_cost(

@@ -89,9 +89,9 @@ struct SparseDelta {
 
 struct Lineage;
 
-/// Immutable product of Engine::compile — everything any execution policy
-/// needs, so one cached artifact serves raw, checked and hybrid requests
-/// for its (matrix, options) key. Shared read-only across worker threads.
+/// Immutable product of Engine::compile — what its route's execution
+/// reads and nothing more (see plan and format()). Shared read-only
+/// across worker threads.
 struct CompiledMatrix {
   std::uint64_t matrix_hash = 0;   ///< FNV-1a of the operand content
   std::uint64_t options_hash = 0;  ///< hash of every plan-affecting option
@@ -104,12 +104,16 @@ struct CompiledMatrix {
   EngineOptions::Compile options;  ///< the compile section this was built with
   std::size_t rows = 0, cols = 0;
 
-  /// Trusted-path plan at options.version (V4 carries the BLOCK_TILE
-  /// candidates). Formats are version-independent, so any KernelVersion
-  /// can be costed against these — see Engine::cost.
+  /// kRaw: the trusted-path plan at options.version, one reorder and
+  /// format per BLOCK_TILE candidate (V4 carries three); jigsaw_run picks
+  /// among plan.formats per request. An undegraded kChecked artifact keeps
+  /// its one reorder in plan.reorders and no format here.
   core::JigsawPlan plan;
-  /// The primary reorder in both §3.4.3 metadata layouts;
-  /// options.metadata_layout selects which one execution reads.
+  /// The format an undegraded kChecked artifact executes, in the field
+  /// options.metadata_layout names; the other field stays empty, and both
+  /// do on every other route. Read it through format(). Two fields only
+  /// while the benchmark program still spells them; they fold into one
+  /// member once it reads format().
   core::JigsawFormat naive_format;
   core::JigsawFormat interleaved_format;
   /// Set when the artifact routes any column off the SpTC path: always
@@ -135,7 +139,12 @@ struct CompiledMatrix {
   /// generation of one compile holds the same cell.
   std::shared_ptr<Lineage> lineage;
 
+  /// The format a request executes on the kChecked and hybrid routes
+  /// (the hybrid pipes' SpTC subset on the latter). kRaw has no single
+  /// one: jigsaw_run picks among plan.formats per request, and this
+  /// returns an empty format.
   const core::JigsawFormat& format() const {
+    if (hybrid.has_value()) return hybrid->format;
     return options.metadata_layout == core::MetadataLayout::kNaive
                ? naive_format
                : interleaved_format;
@@ -266,9 +275,9 @@ class Engine {
       const std::vector<bool>& row_dirty) const;
 
   /// Shared artifact tail and the one format enforcer: validates every
-  /// format the artifact carries, computes the resident footprint
-  /// (retaining the operand for hybrid/updatable artifacts), and stamps
-  /// the updatable flag.
+  /// format the artifact carries (format(), or plan.formats under kRaw),
+  /// computes the resident footprint (retaining the operand for
+  /// hybrid/updatable artifacts), and stamps the updatable flag.
   [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm,
                                          const DenseMatrix<fp16_t>& a) const;
 

@@ -72,6 +72,30 @@ double counter_value(const char* name) {
   return obs::counter(name).value();
 }
 
+/// Every format a request on this artifact's route executes: kRaw picks
+/// among the plan's candidates, the hybrid route runs the SpTC subset in
+/// hybrid->format, an undegraded kChecked artifact runs format().
+std::vector<const core::JigsawFormat*> executed_formats(
+    const CompiledMatrix& cm) {
+  std::vector<const core::JigsawFormat*> out;
+  if (cm.policy == ExecutionPolicy::kRaw) {
+    for (const core::JigsawFormat& f : cm.plan.formats) out.push_back(&f);
+  } else if (cm.hybrid.has_value()) {
+    out.push_back(&cm.hybrid->format);
+  } else {
+    out.push_back(&cm.format());
+  }
+  return out;
+}
+
+/// Number of non-empty formats anywhere in the artifact.
+std::size_t carried_formats(const CompiledMatrix& cm) {
+  std::size_t n = (cm.naive_format.rows() != 0) +
+                  (cm.interleaved_format.rows() != 0) + cm.plan.formats.size();
+  if (cm.hybrid.has_value()) n += cm.hybrid->format.rows() != 0;
+  return n;
+}
+
 // ---- Cache identity -------------------------------------------------------
 
 TEST(EngineCache, RecompileIsAHitWithNoSecondReorder) {
@@ -335,9 +359,9 @@ TEST(CheckedRun, ReorderFailureDegradesToHybridAndStaysExact) {
   EXPECT_TRUE(allclose(*run.c, reference_gemm(a, b), a.cols()));
 }
 
-TEST(EnginePolicy, CleanMatrixBuildsTwoFormatsAndStaysUndegraded) {
-  // The default (checked) route builds exactly the artifact's layout
-  // pair: the degradation step builds no SpTC format of its own.
+TEST(EnginePolicy, CleanMatrixBuildsOneFormatAndStaysUndegraded) {
+  // The default (checked) route builds exactly the one format it
+  // executes: the degradation step builds no SpTC format of its own.
   obs::reset_metrics();
   obs::set_metrics_enabled(true);
   Engine engine;
@@ -345,7 +369,7 @@ TEST(EnginePolicy, CleanMatrixBuildsTwoFormatsAndStaysUndegraded) {
   auto compiled = engine.compile(a);
   obs::set_metrics_enabled(false);
   ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
-  EXPECT_EQ(counter_value("format.builds"), 2.0);
+  EXPECT_EQ(counter_value("format.builds"), 1.0);
 
   const CompiledMatrix& handle = *compiled.value();
   EXPECT_EQ(handle.policy, ExecutionPolicy::kChecked);
@@ -359,6 +383,68 @@ TEST(EnginePolicy, CleanMatrixBuildsTwoFormatsAndStaysUndegraded) {
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_TRUE(allclose(result.value(), reference_gemm(a, b), a.cols()));
   EXPECT_GT(engine.cost(handle, b.cols()).duration_us, 0.0);
+}
+
+TEST(EnginePolicy, EachRouteCarriesExactlyTheFormatsItExecutes) {
+  // One compile per route builds, validates and charges only what its
+  // execution reads; the cache charge is those formats plus the retained
+  // operand and the hybrid routing vectors.
+  struct Route {
+    const char* name;
+    ExecutionPolicy policy;
+    core::KernelVersion version;
+    bool degrade;  // adversarial_matrix() at BLOCK_TILE 16
+    double builds;
+  };
+  const Route routes[] = {
+      {"checked", ExecutionPolicy::kChecked, core::KernelVersion::kV4, false,
+       1.0},
+      {"checked-degraded", ExecutionPolicy::kChecked, core::KernelVersion::kV4,
+       true, 1.0},
+      {"hybrid", ExecutionPolicy::kHybrid, core::KernelVersion::kV4, false,
+       1.0},
+      {"raw-v1", ExecutionPolicy::kRaw, core::KernelVersion::kV1, false, 1.0},
+      {"raw-v4", ExecutionPolicy::kRaw, core::KernelVersion::kV4, false, 3.0},
+  };
+  for (const Route& route : routes) {
+    SCOPED_TRACE(route.name);
+    EngineOptions options;
+    options.policy = route.policy;
+    options.compile.version = route.version;
+    if (route.degrade) options.compile.block_tile = 16;
+    const auto a = route.degrade ? adversarial_matrix() : sample_lhs();
+    obs::reset_metrics();
+    obs::set_metrics_enabled(true);
+    Engine engine;
+    auto compiled = engine.compile(a, options);
+    obs::set_metrics_enabled(false);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+    const CompiledMatrix& cm = *compiled.value();
+    EXPECT_EQ(counter_value("format.builds"), route.builds);
+    EXPECT_EQ(cm.degraded, route.degrade);
+
+    const std::vector<const core::JigsawFormat*> executed = executed_formats(cm);
+    EXPECT_EQ(carried_formats(cm), executed.size());
+    EXPECT_EQ(cm.lhs.rows() != 0, cm.hybrid.has_value());  // not updatable
+    std::size_t bytes = cm.lhs.rows() * cm.lhs.cols() * sizeof(fp16_t);
+    for (const core::JigsawFormat* f : executed) {
+      EXPECT_EQ(f->rows(), a.rows());
+      bytes += f->memory_footprint().total();
+    }
+    if (cm.hybrid.has_value()) {
+      for (const core::PanelRouting& r : cm.hybrid->routing) {
+        bytes += (r.dense_columns.size() + r.cuda_columns.size()) *
+                 sizeof(std::uint32_t);
+      }
+    }
+    EXPECT_EQ(cm.footprint_bytes, bytes);
+
+    if (route.policy != ExecutionPolicy::kRaw) {
+      EXPECT_EQ(&cm.format(), executed[0]);
+      const Status valid = cm.format().validate();
+      EXPECT_TRUE(valid.ok()) << valid.to_string();
+    }
+  }
 }
 
 TEST(EnginePolicy, HybridAndRawRoutesMatchTheReference) {

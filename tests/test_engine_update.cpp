@@ -79,6 +79,22 @@ SparseDelta adversarial_delta() {
   return delta;
 }
 
+/// Every format a request on this artifact's route executes: kRaw picks
+/// among the plan's candidates, the hybrid route runs the SpTC subset in
+/// hybrid->format, an undegraded kChecked artifact runs format().
+std::vector<const core::JigsawFormat*> executed_formats(
+    const CompiledMatrix& cm) {
+  std::vector<const core::JigsawFormat*> out;
+  if (cm.policy == ExecutionPolicy::kRaw) {
+    for (const core::JigsawFormat& f : cm.plan.formats) out.push_back(&f);
+  } else if (cm.hybrid.has_value()) {
+    out.push_back(&cm.hybrid->format);
+  } else {
+    out.push_back(&cm.format());
+  }
+  return out;
+}
+
 struct PolicyCase {
   ExecutionPolicy policy;
   const char* name;
@@ -152,11 +168,16 @@ TEST(EngineUpdateDifferential, MatchesFromScratchCompileAcrossTheMatrix) {
           EXPECT_EQ(current->matrix_hash, s.matrix_hash);
           EXPECT_EQ(current->plan_fingerprint, s.plan_fingerprint);
           EXPECT_EQ(current->degraded, s.degraded);
-          EXPECT_EQ(current->format().values(), s.format().values());
-          EXPECT_EQ(current->format().metadata(), s.format().metadata());
-          EXPECT_EQ(current->format().col_idx_array(), s.format().col_idx_array());
-          EXPECT_EQ(current->format().block_col_idx_array(),
-                    s.format().block_col_idx_array());
+          const auto got = executed_formats(*current);
+          const auto want = executed_formats(s);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i]->values(), want[i]->values());
+            EXPECT_EQ(got[i]->metadata(), want[i]->metadata());
+            EXPECT_EQ(got[i]->col_idx_array(), want[i]->col_idx_array());
+            EXPECT_EQ(got[i]->block_col_idx_array(),
+                      want[i]->block_col_idx_array());
+          }
 
           auto via_update = engine.execute(*current, b);
           auto via_scratch = fresh.execute(s, b);
@@ -216,6 +237,46 @@ TEST(EngineUpdateDifferential, CheckedAndRawTakeTheIncrementalPath) {
   EXPECT_GT(obs::counter("jigsaw.engine.update.full_recompiles").value(),
             full_before);
   obs::set_metrics_enabled(false);
+}
+
+TEST(EngineUpdateDifferential, EachRouteSplicesOnlyTheFormatsItExecutes) {
+  // An incremental update splices each format its route executes once and
+  // builds none; a hybrid update recompiles, building its one format.
+  struct Route {
+    const char* name;
+    ExecutionPolicy policy;
+    core::KernelVersion version;
+    std::uint64_t rebuilds;
+    double builds;
+  };
+  const Route routes[] = {
+      {"checked", ExecutionPolicy::kChecked, core::KernelVersion::kV4, 1, 0.0},
+      {"raw-v1", ExecutionPolicy::kRaw, core::KernelVersion::kV1, 1, 0.0},
+      {"raw-v4", ExecutionPolicy::kRaw, core::KernelVersion::kV4, 3, 0.0},
+      {"hybrid", ExecutionPolicy::kHybrid, core::KernelVersion::kV4, 0, 1.0},
+  };
+  for (const Route& route : routes) {
+    SCOPED_TRACE(route.name);
+    EngineOptions options;
+    options.policy = route.policy;
+    options.compile.version = route.version;
+    options.compile.updatable = true;
+    DenseMatrix<fp16_t> mirror =
+        dlmc::make_lhs({96, 128}, 0.85, 4, 7101).values();
+    Engine engine;
+    auto compiled = engine.compile(mirror, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+    Rng rng(7102);
+    const SparseDelta delta = random_delta(rng, mirror, 16);
+    obs::reset_metrics();
+    obs::set_metrics_enabled(true);
+    auto updated = engine.update(compiled.value(), delta);
+    obs::set_metrics_enabled(false);
+    ASSERT_TRUE(updated.ok()) << updated.status().to_string();
+    EXPECT_EQ(obs::histogram("format.rebuild_seconds").count(),
+              route.rebuilds);
+    EXPECT_EQ(obs::counter("format.builds").value(), route.builds);
+  }
 }
 
 // ---- Generation / RCU semantics -------------------------------------------

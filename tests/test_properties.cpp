@@ -179,7 +179,9 @@ TEST_P(SparsityAxis, WiderVectorsNeverHurtZeroColumns) {
 INSTANTIATE_TEST_SUITE_P(VectorWidths, SparsityAxis,
                          ::testing::Values(2, 4, 8),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return "v" + std::to_string(i.param);
+                           std::string name = "v";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 }  // namespace
