@@ -1,8 +1,14 @@
-// End-to-end SpMM baseline (google-benchmark): the kernel ablation V0..V4
-// (§4.4) across the sparsity sweep. Each measurement runs the functional
-// SpMM through the prebuilt format (host wall-clock) and records the cost
-// model's simulated A100 duration as a counter, so the tracked baseline
-// captures both the executable path and the modeled kernel.
+// SpMM baseline (google-benchmark): the kernel ablation V0..V4 (§4.4)
+// across the sparsity sweep, in two series over one {v} x {sp} grid.
+//
+//   bench_spmm       jigsaw_run with values, host wall-clock. The plan
+//                    memoizes its BLOCK_TILE choice per RHS width, so only
+//                    the first iteration walks the candidates: this times
+//                    the functional SpMM through the chosen format. The
+//                    cost model's simulated A100 duration is a counter.
+//   bench_cost_walk  the simulator alone: one jigsaw_cost per candidate
+//                    (three under V4), what a plan's first run at a width
+//                    pays before it computes.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -18,19 +24,22 @@
 namespace jigsaw {
 namespace {
 
-void bench_spmm(benchmark::State& state) {
-  const auto version = static_cast<core::KernelVersion>(state.range(0));
-  const auto sparsity = static_cast<double>(state.range(1)) / 100.0;
-  const dlmc::Shape shape{512, 1024};
-  constexpr std::size_t kN = 256;
-  const auto a = dlmc::make_lhs(shape, sparsity, 4);
+constexpr std::size_t kN = 256;
+const dlmc::Shape kShape{512, 1024};
 
-  // Preprocessing is amortized (§3.1): plan outside the timed loop.
+/// The planned operand of one grid point; preprocessing is amortized
+/// (§3.1), so it happens outside every timed loop.
+core::JigsawPlan plan_for(const benchmark::State& state) {
   core::EngineOptions::Compile popts;
-  popts.version = version;
-  const auto plan = core::jigsaw_plan(a.values(), popts);
+  popts.version = static_cast<core::KernelVersion>(state.range(0));
+  const auto sparsity = static_cast<double>(state.range(1)) / 100.0;
+  return core::jigsaw_plan(dlmc::make_lhs(kShape, sparsity, 4).values(),
+                           popts);
+}
 
-  DenseMatrix<fp16_t> b(shape.k, kN);
+void bench_spmm(benchmark::State& state) {
+  const auto plan = plan_for(state);
+  DenseMatrix<fp16_t> b(kShape.k, kN);
   Rng rng(mix_seed(7, 0xb0b));
   for (std::size_t i = 0; i < b.size(); ++i) {
     b.data()[i] = fp16_t(rng.uniform(-1.0f, 1.0f));
@@ -45,16 +54,32 @@ void bench_spmm(benchmark::State& state) {
     benchmark::DoNotOptimize(last.c->data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(shape.m * kN));
+                          static_cast<std::int64_t>(kShape.m * kN));
   state.counters["sim_us"] = last.report.duration_us;
   state.counters["block_tile"] =
       static_cast<double>(last.selected_block_tile);
+}
+
+void bench_cost_walk(benchmark::State& state) {
+  const auto plan = plan_for(state);
+  const gpusim::CostModel cm;
+  for (auto _ : state) {
+    for (const core::JigsawFormat& f : plan.formats) {
+      gpusim::KernelReport report = core::jigsaw_cost(f, kN, plan.version, cm);
+      benchmark::DoNotOptimize(report.duration_cycles);
+    }
+  }
+  state.counters["candidates"] = static_cast<double>(plan.formats.size());
 }
 
 }  // namespace
 }  // namespace jigsaw
 
 BENCHMARK(jigsaw::bench_spmm)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {80, 90, 95, 98}})
+    ->ArgNames({"v", "sp"})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(jigsaw::bench_cost_walk)
     ->ArgsProduct({{0, 1, 2, 3, 4}, {80, 90, 95, 98}})
     ->ArgNames({"v", "sp"})
     ->Unit(benchmark::kMillisecond);

@@ -116,68 +116,18 @@ HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
   return plan;
 }
 
-HybridRunResult hybrid_run(const HybridPlan& plan,
-                           const DenseMatrix<fp16_t>& a,
-                           const DenseMatrix<fp16_t>& b,
-                           const gpusim::CostModel& cost_model,
-                           const EngineOptions::Run& options) {
-  JIGSAW_TRACE_SCOPE("hybrid", "hybrid.run");
-  obs::add("hybrid.runs");
+DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
+                                  const DenseMatrix<fp16_t>& a,
+                                  const DenseMatrix<fp16_t>& b) {
   JIGSAW_CHECK(a.rows() == plan.format.rows() &&
                a.cols() == plan.format.cols());
   JIGSAW_CHECK(b.rows() == a.cols());
   const std::size_t n = b.cols();
   const std::size_t bt =
       static_cast<std::size_t>(plan.options.tile.block_tile_m);
-  const int slices = plan.format.row_slices_per_panel();
 
-  // ---- Cost: start from the SpTC walk, add the two extra pipes.
-  gpusim::KernelReport sptc_report = jigsaw_cost(
-      plan.format, n, KernelVersion::kV4, cost_model, options.tuning);
-  gpusim::KernelCounters counters = sptc_report.counters;
-  const double n_pad = static_cast<double>(round_up(n, 8));
-  const double nblocks = static_cast<double>((n + kBlockTileN - 1) /
-                                             kBlockTileN);
-  for (const PanelRouting& r : plan.routing) {
-    const double dense_tiles =
-        static_cast<double>((r.dense_columns.size() + kMmaTile - 1) /
-                            kMmaTile);
-    // Dense tensor core: one m16n8k16 per (slice, tile, 8-wide n chunk).
-    const double dense_macs = dense_tiles * slices * 16.0 * 16.0 * n_pad;
-    counters.tc_fp16_macs += dense_macs;
-    const double dense_mma = dense_macs / 1024.0;
-    counters.instructions += dense_mma * 2.0;
-    counters.smem_load_transactions += dense_mma * 1.2;
-    // Raw A columns + gathered B rows staged per block.
-    const double dense_bytes =
-        (static_cast<double>(r.dense_columns.size()) *
-         (static_cast<double>(bt) + kBlockTileN) * 2.0) *
-        nblocks;
-    counters.dram_read_bytes += dense_bytes / nblocks;
-    counters.l2_read_bytes += dense_bytes * (nblocks - 1.0) / nblocks;
-    counters.smem_store_transactions += dense_bytes / 128.0;
-
-    // CUDA cores: scalar FMAs over the thin columns' nonzeros.
-    const double cuda_macs =
-        static_cast<double>(r.cuda_nnz) * static_cast<double>(n);
-    counters.cuda_macs += cuda_macs;
-    counters.instructions += cuda_macs / 64.0 * 1.5;
-    const double cuda_bytes =
-        static_cast<double>(r.cuda_columns.size()) * kBlockTileN * 2.0 *
-        nblocks;
-    counters.dram_read_bytes += cuda_bytes / nblocks;
-    counters.l2_read_bytes += cuda_bytes * (nblocks - 1.0) / nblocks;
-  }
-
-  HybridRunResult result;
-  result.report = cost_model.estimate(
-      "hybrid_bt" + std::to_string(plan.options.tile.block_tile_m), counters,
-      sptc_report.launch);
-
-  if (!options.compute_values) return result;
-
-  // ---- Functional: SpTC subset through the format, then the dense and
-  // CUDA routes accumulate on top.
+  // SpTC subset through the format, then the dense and CUDA routes
+  // accumulate on top.
   DenseMatrix<float> c = jigsaw_compute(plan.format, b);
 
   parallel_for(static_cast<std::int64_t>(plan.routing.size()),
@@ -242,7 +192,68 @@ HybridRunResult hybrid_run(const HybridPlan& plan,
     }
   });
 
-  result.c = std::move(c);
+  return c;
+}
+
+HybridRunResult hybrid_run(const HybridPlan& plan,
+                           const DenseMatrix<fp16_t>& a,
+                           const DenseMatrix<fp16_t>& b,
+                           const gpusim::CostModel& cost_model,
+                           const EngineOptions::Run& options) {
+  JIGSAW_TRACE_SCOPE("hybrid", "hybrid.run");
+  obs::add("hybrid.runs");
+  JIGSAW_CHECK(a.rows() == plan.format.rows() &&
+               a.cols() == plan.format.cols());
+  JIGSAW_CHECK(b.rows() == a.cols());
+  const std::size_t n = b.cols();
+  const std::size_t bt =
+      static_cast<std::size_t>(plan.options.tile.block_tile_m);
+  const int slices = plan.format.row_slices_per_panel();
+
+  // ---- Cost: start from the SpTC walk, add the two extra pipes.
+  gpusim::KernelReport sptc_report = jigsaw_cost(
+      plan.format, n, KernelVersion::kV4, cost_model, options.tuning);
+  gpusim::KernelCounters counters = sptc_report.counters;
+  const double n_pad = static_cast<double>(round_up(n, 8));
+  const double nblocks = static_cast<double>((n + kBlockTileN - 1) /
+                                             kBlockTileN);
+  for (const PanelRouting& r : plan.routing) {
+    const double dense_tiles =
+        static_cast<double>((r.dense_columns.size() + kMmaTile - 1) /
+                            kMmaTile);
+    // Dense tensor core: one m16n8k16 per (slice, tile, 8-wide n chunk).
+    const double dense_macs = dense_tiles * slices * 16.0 * 16.0 * n_pad;
+    counters.tc_fp16_macs += dense_macs;
+    const double dense_mma = dense_macs / 1024.0;
+    counters.instructions += dense_mma * 2.0;
+    counters.smem_load_transactions += dense_mma * 1.2;
+    // Raw A columns + gathered B rows staged per block.
+    const double dense_bytes =
+        (static_cast<double>(r.dense_columns.size()) *
+         (static_cast<double>(bt) + kBlockTileN) * 2.0) *
+        nblocks;
+    counters.dram_read_bytes += dense_bytes / nblocks;
+    counters.l2_read_bytes += dense_bytes * (nblocks - 1.0) / nblocks;
+    counters.smem_store_transactions += dense_bytes / 128.0;
+
+    // CUDA cores: scalar FMAs over the thin columns' nonzeros.
+    const double cuda_macs =
+        static_cast<double>(r.cuda_nnz) * static_cast<double>(n);
+    counters.cuda_macs += cuda_macs;
+    counters.instructions += cuda_macs / 64.0 * 1.5;
+    const double cuda_bytes =
+        static_cast<double>(r.cuda_columns.size()) * kBlockTileN * 2.0 *
+        nblocks;
+    counters.dram_read_bytes += cuda_bytes / nblocks;
+    counters.l2_read_bytes += cuda_bytes * (nblocks - 1.0) / nblocks;
+  }
+
+  HybridRunResult result;
+  result.report = cost_model.estimate(
+      "hybrid_bt" + std::to_string(plan.options.tile.block_tile_m), counters,
+      sptc_report.launch);
+
+  if (options.compute_values) result.c = hybrid_compute(plan, a, b);
   return result;
 }
 

@@ -74,15 +74,22 @@ struct HybridRunResult {
   gpusim::KernelReport report;
 };
 
-/// Executes the fused hybrid kernel: SpTC tiles through the Jigsaw path,
-/// dense tiles through mma.m16n8k16, CUDA-routed nonzeros through scalar
-/// FMAs; the three partial products accumulate into one C. The fused
-/// epilogue of `options` is ignored here (the engine applies it after the
-/// three pipes merge).
+/// Executes the fused hybrid kernel: the simulated report of all three
+/// pipes and, when `options.compute_values`, hybrid_compute's product.
+/// The fused epilogue of `options` is ignored here (the engine applies it
+/// after the three pipes merge).
 HybridRunResult hybrid_run(const HybridPlan& plan,
                            const DenseMatrix<fp16_t>& a,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
                            const EngineOptions::Run& options = {});
+
+/// Functional path only (the analogue of jigsaw_compute): SpTC tiles
+/// through the Jigsaw path, dense tiles through mma.m16n8k16, CUDA-routed
+/// nonzeros through scalar FMAs; the three partial products accumulate
+/// into one C, in that order. `a` is the operand the plan was built from.
+DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
+                                  const DenseMatrix<fp16_t>& a,
+                                  const DenseMatrix<fp16_t>& b);
 
 }  // namespace jigsaw::core

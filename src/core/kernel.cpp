@@ -605,26 +605,72 @@ JigsawEventCost jigsaw_cost_event(const JigsawFormat& f, std::size_t n,
   return out;
 }
 
+SelectionMemo& SelectionMemo::operator=(const SelectionMemo&) noexcept {
+  MutexLock lock(mu_);
+  size_ = 0;
+  oldest_ = 0;
+  return *this;
+}
+
+std::optional<JigsawSelection> SelectionMemo::find(const Key& key) const {
+  MutexLock lock(mu_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    if (entries_[i].key == key) return entries_[i].selection;
+  }
+  return std::nullopt;
+}
+
+void SelectionMemo::insert(const Key& key, const JigsawSelection& selection) {
+  MutexLock lock(mu_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    if (entries_[i].key == key) return;  // a racing miss inserted it first
+  }
+  std::size_t slot = size_;
+  if (size_ < kCapacity) {
+    ++size_;
+  } else {
+    slot = oldest_;
+    oldest_ = (oldest_ + 1) % kCapacity;
+  }
+  entries_[slot] = Entry{key, selection};
+}
+
+JigsawSelection jigsaw_select(const JigsawPlan& plan, std::size_t n,
+                              const gpusim::CostModel& cost_model,
+                              const EngineOptions::Run& options) {
+  JIGSAW_CHECK_MSG(!plan.formats.empty(), "empty plan");
+  const SelectionMemo::Key key{n, options.tuning, options.epilogue.activation,
+                               options.epilogue.bias != nullptr,
+                               cost_model.arch()};
+  if (std::optional<JigsawSelection> hit = plan.selections.find(key)) {
+    return std::move(*hit);
+  }
+  JigsawSelection best;
+  for (std::size_t i = 0; i < plan.formats.size(); ++i) {
+    gpusim::KernelReport report =
+        jigsaw_cost(plan.formats[i], n, plan.version, cost_model,
+                    options.tuning, options.epilogue);
+    if (i == 0 || report.duration_cycles < best.report.duration_cycles) {
+      best.report = std::move(report);
+      best.index = i;
+    }
+  }
+  plan.selections.insert(key, best);
+  return best;
+}
+
 JigsawRunResult jigsaw_run(const JigsawPlan& plan,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,
                            const EngineOptions::Run& options) {
   JIGSAW_TRACE_SCOPE("kernel", "kernel.run");
-  JIGSAW_CHECK_MSG(!plan.formats.empty(), "empty plan");
+  JigsawSelection chosen = jigsaw_select(plan, b.cols(), cost_model, options);
+  const JigsawFormat& format = plan.formats[chosen.index];
   JigsawRunResult result;
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < plan.formats.size(); ++i) {
-    gpusim::KernelReport report =
-        jigsaw_cost(plan.formats[i], b.cols(), plan.version, cost_model,
-                    options.tuning, options.epilogue);
-    if (i == 0 || report.duration_cycles < result.report.duration_cycles) {
-      result.report = std::move(report);
-      best = i;
-    }
-  }
-  result.selected_block_tile = plan.formats[best].tile_config().block_tile_m;
+  result.report = std::move(chosen.report);
+  result.selected_block_tile = format.tile_config().block_tile_m;
   if (options.compute_values) {
-    result.c = jigsaw_compute(plan.formats[best], b, options.epilogue);
+    result.c = jigsaw_compute(format, b, options.epilogue);
   }
   return result;
 }

@@ -24,9 +24,11 @@
 //   V4  + BLOCK_TILE tuning over {16, 32, 64}
 #pragma once
 
+#include <array>
 #include <optional>
 #include <vector>
 
+#include "common/thread_annotations.hpp"
 #include "core/format.hpp"
 #include "core/options.hpp"
 #include "gpusim/cost_model.hpp"
@@ -47,19 +49,84 @@ struct KernelFeatures {
   static KernelFeatures for_version(KernelVersion v);
 };
 
+/// The candidate a run executes, and the cost walk that chose it.
+struct JigsawSelection {
+  std::size_t index = 0;        ///< into JigsawPlan::formats
+  gpusim::KernelReport report;  ///< the winner's simulated report
+};
+
+/// The last few choices jigsaw_select made on one plan. A cost walk is a
+/// pure function of the plan's formats and version plus a Key, so a hit
+/// is exactly the index and report a fresh walk would return. The lock
+/// is never held during a walk: two racing misses may both walk, and the
+/// later insert of an equal key is dropped. Copying or assigning a memo
+/// leaves the destination empty.
+class SelectionMemo {
+ public:
+  /// Everything a cost walk reads besides the plan: the RHS width, every
+  /// tuning constant, the epilogue's shape (not its bias values) and the
+  /// simulated device, compared by value.
+  struct Key {
+    std::size_t n = 0;
+    JigsawTuning tuning;
+    Epilogue::Activation activation = Epilogue::Activation::kNone;
+    bool has_bias = false;
+    gpusim::ArchSpec arch;
+
+    bool operator==(const Key&) const = default;
+  };
+  /// Fixed size; once full, each new choice overwrites the oldest.
+  static constexpr std::size_t kCapacity = 8;
+
+  SelectionMemo() = default;
+  SelectionMemo(const SelectionMemo&) noexcept {}
+  SelectionMemo& operator=(const SelectionMemo&) noexcept;
+
+  [[nodiscard]] std::optional<JigsawSelection> find(const Key& key) const
+      EXCLUDES(mu_);
+  void insert(const Key& key, const JigsawSelection& selection)
+      EXCLUDES(mu_);
+
+ private:
+  struct Entry {
+    Key key;
+    JigsawSelection selection;
+  };
+  mutable Mutex mu_;
+  std::array<Entry, kCapacity> entries_ GUARDED_BY(mu_);
+  std::size_t size_ GUARDED_BY(mu_) = 0;    ///< filled entries
+  std::size_t oldest_ GUARDED_BY(mu_) = 0;  ///< overwritten next when full
+};
+
 /// One-time preprocessing product: reorder + format for one or (V4) three
 /// BLOCK_TILE configurations. The paper amortizes this over inference runs.
+/// `version` and `formats` must not change after the first run: the
+/// choices `selections` keeps were walked against them. Copying or moving
+/// a plan starts an empty memo, so an edited copy never inherits a stale
+/// choice.
 struct JigsawPlan {
   KernelVersion version = KernelVersion::kV4;
   /// Candidate formats; one entry for V0..V3, up to three for V4.
   std::vector<JigsawFormat> formats;
   std::vector<ReorderResult> reorders;  ///< parallel to formats
   double preprocess_seconds = 0.0;      ///< measured host reorder time
+  /// jigsaw_select's memo (a few KiB, not charged to any footprint).
+  mutable SelectionMemo selections;
 };
 
 /// Runs the multi-granularity reorder and builds the format(s).
 JigsawPlan jigsaw_plan(const DenseMatrix<fp16_t>& a,
                        const EngineOptions::Compile& options = {});
+
+/// The one place a candidate is picked: the plan's format with the lowest
+/// simulated duration against an n-column RHS (the paper's empirical
+/// BLOCK_TILE tuning for V4; V0..V3 plans have one candidate). The first
+/// call per Key walks every candidate; later calls return the memoized
+/// winner and run no walk, so they emit no `kernel.vN.*` counter.
+/// Reads only `tuning` and `epilogue` of `options`.
+JigsawSelection jigsaw_select(const JigsawPlan& plan, std::size_t n,
+                              const gpusim::CostModel& cost_model,
+                              const EngineOptions::Run& options = {});
 
 struct JigsawRunResult {
   std::optional<DenseMatrix<float>> c;  ///< set when compute_values
@@ -68,9 +135,10 @@ struct JigsawRunResult {
 };
 
 /// Executes the kernel against a dense RHS: always produces the simulated
-/// kernel report; optionally also the exact numeric result. For V4 plans
-/// the candidate with the lowest simulated duration is selected (the
-/// paper's empirical tuning).
+/// kernel report of the candidate jigsaw_select picks for b.cols();
+/// optionally also the exact numeric result through that candidate.
+/// Repeated widths on one plan reuse the memoized choice, so only the
+/// first run at each width pays for the cost walks.
 JigsawRunResult jigsaw_run(const JigsawPlan& plan,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,

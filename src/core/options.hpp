@@ -51,6 +51,8 @@ struct JigsawTuning {
   /// Loop/index bookkeeping instructions per k-step per warp.
   double loop_insts_per_kstep_per_warp = 14.0;
   int regs_per_thread = 96;
+
+  bool operator==(const JigsawTuning&) const = default;
 };
 
 /// Fused epilogue applied to the C tile in registers before the global

@@ -275,8 +275,8 @@ Status Engine::finalize_artifact(CompiledMatrix& cm,
                                  const DenseMatrix<fp16_t>& a) const {
   // Every format the artifact carries is validated here, once, and
   // charged against the cache bound. It carries exactly what its route
-  // executes: the kRaw candidates jigsaw_run picks among, otherwise the
-  // one format() (the SpTC subset of the hybrid pipes on that route).
+  // executes: the kRaw candidates jigsaw_select picks among, otherwise
+  // the one format() (the SpTC subset of the hybrid pipes on that route).
   std::vector<const core::JigsawFormat*> formats;
   for (const core::JigsawFormat& f : cm.plan.formats) formats.push_back(&f);
   if (cm.policy != ExecutionPolicy::kRaw) formats.push_back(&cm.format());
@@ -324,8 +324,7 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
   const bool incremental =
       !base.plan.reorders.empty() &&
       ((base.policy == ExecutionPolicy::kChecked && !base.degraded) ||
-       (base.policy == ExecutionPolicy::kRaw &&
-        base.plan.reorders.size() == base.plan.formats.size()));
+       base.policy == ExecutionPolicy::kRaw);
   if (!incremental) {
     // jigsaw-lint: allow(obs-name): named after the serving API surface
     // (engine.update), not an obs subsystem.
@@ -561,31 +560,27 @@ Result<DenseMatrix<float>> Engine::execute(
   try {
     DenseMatrix<float> c(0, 0);
     if (handle.hybrid.has_value()) {
-      core::HybridRunResult rr =
-          core::hybrid_run(*handle.hybrid, handle.lhs, b, config_.cost_model,
-                           {.compute_values = true, .tuning = run.tuning});
-      JIGSAW_CHECK_MSG(rr.c.has_value(), "hybrid_run dropped the values");
-      c = std::move(*rr.c);
-      // hybrid_run fuses three pipes and ignores the epilogue; apply it
-      // on the merged product.
+      c = core::hybrid_compute(*handle.hybrid, handle.lhs, b);
+      // The three pipes merge unfused; apply the epilogue to the sum.
       apply_epilogue(c, run.epilogue);
-    } else if (handle.policy == ExecutionPolicy::kRaw) {
-      core::JigsawRunResult rr = core::jigsaw_run(
-          handle.plan, b, config_.cost_model,
-          {.compute_values = true, .tuning = run.tuning,
-           .epilogue = run.epilogue});
-      JIGSAW_CHECK_MSG(rr.c.has_value(), "jigsaw_run dropped the values");
-      c = std::move(*rr.c);
     } else {
-      // Steady-state serving path: pre-size the output, then count heap
-      // traffic across the kernel proper. On a warmed-up worker (arena
-      // grown, pool caches primed) the delta is zero — the regression
-      // test in test_engine.cpp pins that down. The hybrid and kRaw
-      // branches run cost walks with inherent cold allocations and are
-      // deliberately outside the window.
+      // Both SpTC routes share one compute path: kChecked runs its one
+      // format, kRaw the candidate jigsaw_select picks for this RHS width
+      // (memoized on the plan, so only the first request at a width
+      // walks, and before the window opens). Pre-size the output, then
+      // count heap traffic across the kernel proper. On a warmed-up
+      // worker (arena grown, pool caches primed) the delta is zero — the
+      // regression test in test_engine.cpp pins that down for both
+      // routes. The hybrid pipes allocate their tiles and stay outside.
+      const core::JigsawFormat* format = &handle.format();
+      if (handle.policy == ExecutionPolicy::kRaw) {
+        const core::JigsawSelection chosen = core::jigsaw_select(
+            handle.plan, b.cols(), config_.cost_model, run);
+        format = &handle.plan.formats[chosen.index];
+      }
       c = DenseMatrix<float>(handle.rows, b.cols());
       const std::uint64_t heap_before = heap_allocation_count();
-      core::jigsaw_compute_into(handle.format(), b, c, run.epilogue);
+      core::jigsaw_compute_into(*format, b, c, run.epilogue);
       const std::uint64_t heap_delta =
           heap_allocation_count() - heap_before;
       // Cached reference: a registry lookup hashes the name and may
@@ -632,16 +627,7 @@ gpusim::KernelReport Engine::cost(const CompiledMatrix& handle, std::size_t n,
     return rr.report;
   }
   if (handle.policy == ExecutionPolicy::kRaw) {
-    gpusim::KernelReport best;
-    for (std::size_t i = 0; i < handle.plan.formats.size(); ++i) {
-      gpusim::KernelReport report = core::jigsaw_cost(
-          handle.plan.formats[i], n, handle.plan.version, config_.cost_model,
-          run.tuning, run.epilogue);
-      if (i == 0 || report.duration_cycles < best.duration_cycles) {
-        best = std::move(report);
-      }
-    }
-    return best;
+    return core::jigsaw_select(handle.plan, n, config_.cost_model, run).report;
   }
   return core::jigsaw_cost(handle.format(), n, handle.options.version,
                            config_.cost_model, run.tuning, run.epilogue);

@@ -105,9 +105,10 @@ struct CompiledMatrix {
   std::size_t rows = 0, cols = 0;
 
   /// kRaw: the trusted-path plan at options.version, one reorder and
-  /// format per BLOCK_TILE candidate (V4 carries three); jigsaw_run picks
-  /// among plan.formats per request. An undegraded kChecked artifact keeps
-  /// its one reorder in plan.reorders and no format here.
+  /// format per BLOCK_TILE candidate (V4 carries three); core::jigsaw_select
+  /// picks among plan.formats once per RHS width and memoizes the choice
+  /// on the plan. An undegraded kChecked artifact keeps its one reorder
+  /// in plan.reorders and no format here.
   core::JigsawPlan plan;
   /// The format an undegraded kChecked artifact executes, in the field
   /// options.metadata_layout names; the other field stays empty, and both
@@ -141,7 +142,7 @@ struct CompiledMatrix {
 
   /// The format a request executes on the kChecked and hybrid routes
   /// (the hybrid pipes' SpTC subset on the latter). kRaw has no single
-  /// one: jigsaw_run picks among plan.formats per request, and this
+  /// one: jigsaw_select picks among plan.formats per RHS width, and this
   /// returns an empty format.
   const core::JigsawFormat& format() const {
     if (hybrid.has_value()) return hybrid->format;
@@ -224,9 +225,11 @@ class Engine {
       const EngineOptions::Run& run = {}) const;
 
   /// Simulated kernel report of executing this artifact against an
-  /// n-column RHS at `version` (defaults to the compiled version). Raw
-  /// artifacts report the best BLOCK_TILE candidate; degraded/hybrid
-  /// artifacts report the fused three-pipe kernel.
+  /// n-column RHS, at the compiled version (options.version; plan.version
+  /// under kRaw). Raw artifacts report the BLOCK_TILE candidate
+  /// jigsaw_select memoizes for (n, run) — the one execute runs with the
+  /// same width and run options; degraded/hybrid artifacts report the
+  /// fused three-pipe kernel.
   gpusim::KernelReport cost(const CompiledMatrix& handle, std::size_t n,
                             const EngineOptions::Run& run = {}) const;
 

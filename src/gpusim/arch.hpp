@@ -73,6 +73,10 @@ struct ArchSpec {
   double cycles_to_us(double cycles) const {
     return cycles / (clock_ghz * 1e3);
   }
+
+  /// Field by field; `name` compares as a pointer, so two specs spelled
+  /// alike through different strings only ever compare unequal.
+  bool operator==(const ArchSpec&) const = default;
 };
 
 /// The default simulated device (matches the paper's testbed).

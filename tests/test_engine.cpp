@@ -471,40 +471,130 @@ TEST(EnginePolicy, HybridAndRawRoutesMatchTheReference) {
   EXPECT_EQ(engine.cache_stats().entries, 3u);
 }
 
+TEST(EnginePolicy, HybridRouteExecuteWalksNothing) {
+  // The hybrid route (kHybrid, or kChecked after degradation) computes
+  // through hybrid_compute alone: an execute runs no cost walk, while
+  // Engine::cost still walks the SpTC subset once. The product is
+  // hybrid_run's.
+  struct Case {
+    const char* name;
+    ExecutionPolicy policy;
+    DenseMatrix<fp16_t> a;
+  };
+  const Case cases[] = {{"hybrid", ExecutionPolicy::kHybrid, sample_lhs()},
+                        {"degraded", ExecutionPolicy::kChecked,
+                         adversarial_matrix()}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Engine engine;
+    EngineOptions options;
+    options.policy = c.policy;
+    options.compile.block_tile = 16;
+    auto compiled = engine.compile(c.a, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+    const CompiledMatrix& handle = *compiled.value();
+    ASSERT_TRUE(handle.hybrid.has_value());
+    const auto b = dlmc::make_rhs(c.a.cols(), 16, 5);
+
+    obs::reset_metrics();
+    obs::set_metrics_enabled(true);
+    const double w0 = counter_value("kernel.v4.cost_walks");
+    auto result = engine.execute(handle, b);
+    const double w1 = counter_value("kernel.v4.cost_walks");
+    (void)engine.cost(handle, b.cols());
+    const double w2 = counter_value("kernel.v4.cost_walks");
+    obs::set_metrics_enabled(false);
+    EXPECT_EQ(w1 - w0, 0.0) << "execute walked";
+    EXPECT_EQ(w2 - w1, 1.0) << "cost walks the SpTC subset once";
+
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    const core::HybridRunResult run = core::hybrid_run(
+        *handle.hybrid, handle.lhs, b, engine.config().cost_model);
+    ASSERT_TRUE(run.c.has_value());
+    EXPECT_TRUE(result.value() == *run.c);
+  }
+}
+
+TEST(EnginePolicy, RawRouteChoosesOncePerWidth) {
+  // kRaw execute and cost share the plan's memoized BLOCK_TILE choice:
+  // the first request at a width walks the three V4 candidates, later
+  // executes and costs at that width walk none, and product and report
+  // stay bitwise those of a fresh jigsaw_run.
+  Engine engine;
+  const auto a = sample_lhs();
+  EngineOptions options;
+  options.policy = ExecutionPolicy::kRaw;
+  auto compiled = engine.compile(a, options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  const CompiledMatrix& handle = *compiled.value();
+  for (const std::size_t n : {16u, 48u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto b = dlmc::make_rhs(a.cols(), n, 5);
+    obs::reset_metrics();
+    obs::set_metrics_enabled(true);
+    auto first = engine.execute(handle, b);
+    const double w1 = counter_value("kernel.v4.cost_walks");
+    auto second = engine.execute(handle, b);
+    const gpusim::KernelReport report = engine.cost(handle, n);
+    const double w2 = counter_value("kernel.v4.cost_walks");
+    obs::set_metrics_enabled(false);
+    EXPECT_EQ(w1, 3.0);
+    EXPECT_EQ(w2 - w1, 0.0);
+
+    const core::JigsawRunResult fresh =
+        core::jigsaw_run(core::jigsaw_plan(a, options.compile), b,
+                         engine.config().cost_model);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_TRUE(first.value() == *fresh.c);
+    EXPECT_TRUE(second.value() == *fresh.c);
+    EXPECT_EQ(report.duration_cycles, fresh.report.duration_cycles);
+    EXPECT_EQ(report.name, fresh.report.name);
+  }
+}
+
 // ---- Steady-state allocation behavior -------------------------------------
 
 TEST(EngineSteadyState, WarmedUpSubmitsAllocateNothing) {
   // The zero-allocation contract of the serving path: after a worker's
   // arena has grown to the request shape and the pool's caches are primed,
   // the kernel proper (the window `jigsaw.engine.submit.allocations`
-  // counts) must touch the heap zero times per submit.
-  obs::reset_metrics();
-  obs::set_metrics_enabled(true);
-  EngineConfig config;
-  config.worker_threads = 1;  // one worker -> one arena -> deterministic
-  Engine engine(config);
+  // counts) must touch the heap zero times per submit — on the default
+  // route and on kRaw V4, whose memoized BLOCK_TILE choice is made before
+  // the window opens.
+  for (const ExecutionPolicy policy :
+       {ExecutionPolicy::kAuto, ExecutionPolicy::kRaw}) {
+    SCOPED_TRACE(core::to_string(policy));
+    obs::reset_metrics();
+    obs::set_metrics_enabled(true);
+    EngineConfig config;
+    config.worker_threads = 1;  // one worker -> one arena -> deterministic
+    Engine engine(config);
 
-  const auto a = lhs_for({128, 256, 80, 4, 22});
-  const auto b = dlmc::make_rhs(256, 64, 7);
-  auto compiled = engine.compile(a);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+    const auto a = lhs_for({128, 256, 80, 4, 22});
+    const auto b = dlmc::make_rhs(256, 64, 7);
+    EngineOptions options;
+    options.policy = policy;
+    auto compiled = engine.compile(a, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
 
-  // Warm-up: grows the worker arena, primes thread-pool and obs caches.
-  for (int i = 0; i < 3; ++i) {
-    auto warm = engine.submit(compiled.value(), b).get();
-    ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+    // Warm-up: grows the worker arena, primes thread-pool and obs caches.
+    for (int i = 0; i < 3; ++i) {
+      auto warm = engine.submit(compiled.value(), b).get();
+      ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+    }
+    // The window covers this route: the cold submit grew the arena in it.
+    const double before = counter_value("jigsaw.engine.submit.allocations");
+    EXPECT_GT(before, 0.0);
+    for (int i = 0; i < 5; ++i) {
+      auto result = engine.submit(compiled.value(), b).get();
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+    }
+    const double delta =
+        counter_value("jigsaw.engine.submit.allocations") - before;
+    EXPECT_EQ(delta, 0.0)
+        << "steady-state submits performed " << delta << " heap allocations";
+    obs::set_metrics_enabled(false);
   }
-
-  const double before = counter_value("jigsaw.engine.submit.allocations");
-  for (int i = 0; i < 5; ++i) {
-    auto result = engine.submit(compiled.value(), b).get();
-    ASSERT_TRUE(result.ok()) << result.status().to_string();
-  }
-  const double delta =
-      counter_value("jigsaw.engine.submit.allocations") - before;
-  EXPECT_EQ(delta, 0.0)
-      << "steady-state submits performed " << delta << " heap allocations";
-  obs::set_metrics_enabled(false);
 }
 
 TEST(EngineSteadyState, AllocationCounterTracksColdSubmits) {

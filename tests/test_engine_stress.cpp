@@ -13,10 +13,12 @@
 #include <atomic>
 #include <cstddef>
 #include <future>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "common/status.hpp"
+#include "core/kernel.hpp"
 #include "dlmc/suite.hpp"
 #include "engine/engine.hpp"
 #include "matrix/reference.hpp"
@@ -207,6 +209,51 @@ TEST(EngineStress, ArenaReuseAcrossShapeChangingSubmits) {
         auto result = engine.submit(handles[pick], work[pick].b).get();
         if (!result.ok() ||
             !bit_identical(result.value(), work[pick].expected)) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(EngineStress, ConcurrentRawSubmitsShareOneChoiceMemo) {
+  // Four client threads submit to one kRaw V4 artifact at three RHS
+  // widths at once, so the plan's memo of BLOCK_TILE choices takes racing
+  // misses (both may walk; one entry per width is kept) and concurrent
+  // hits. Every product must be bitwise the serial jigsaw_run of a fresh
+  // plan of the same matrix.
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kWidths[] = {16, 32, 64};
+  const auto a = dlmc::make_lhs({128, 256}, 0.85, 4, 61).values();
+  EngineOptions options;
+  options.policy = ExecutionPolicy::kRaw;
+  EngineConfig config;
+  config.worker_threads = 4;
+  Engine engine(config);
+
+  std::vector<DenseMatrix<fp16_t>> rhs;
+  std::vector<DenseMatrix<float>> expected;
+  for (const std::size_t n : kWidths) {
+    rhs.push_back(dlmc::make_rhs(a.cols(), n, 600 + n));
+    core::JigsawRunResult serial =
+        core::jigsaw_run(core::jigsaw_plan(a, options.compile), rhs.back(),
+                         engine.config().cost_model);
+    expected.push_back(std::move(*serial.c));
+  }
+  auto compiled = engine.compile(a, options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (std::size_t t = 0; t < kClients; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kItersPerThread; ++i) {
+        const std::size_t w = (t + i) % std::size(kWidths);
+        auto result = engine.submit(compiled.value(), rhs[w]).get();
+        if (!result.ok() || !bit_identical(result.value(), expected[w])) {
           ++failures;
         }
       }

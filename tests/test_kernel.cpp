@@ -1,12 +1,20 @@
 // Jigsaw kernel tests: numeric agreement with the reference GEMM across
-// sparsities/widths/shapes/versions, cost-walk structure, and the ablation
-// direction (v0 -> v4 must not get slower).
+// sparsities/widths/shapes/versions, cost-walk structure, the ablation
+// direction (v0 -> v4 must not get slower), and the memo of V4 candidate
+// choices (a warm plan answers exactly as a fresh one, walking once per
+// key).
 #include "core/kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <set>
+#include <string>
+
 #include "matrix/reference.hpp"
 #include "matrix/vector_sparse.hpp"
+#include "obs/metrics.hpp"
 
 namespace jigsaw::core {
 namespace {
@@ -222,6 +230,164 @@ TEST(JigsawKernel, SparserIsFaster) {
     EXPECT_LT(run.report.duration_cycles, prev) << s;
     prev = run.report.duration_cycles;
   }
+}
+
+// ---- Candidate choice memo (jigsaw_select) --------------------------------
+
+/// The 512x512, 80%-sparse, v=4 matrix whose V4 winner changes with N, and
+/// not monotonically.
+DenseMatrix<fp16_t> memo_matrix() {
+  VectorSparseOptions o;
+  o.rows = 512;
+  o.cols = 512;
+  o.sparsity = 0.8;
+  o.vector_width = 4;
+  o.seed = 1;
+  return VectorSparseGenerator::generate(o).values();
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+bool same_bits(const DenseMatrix<float>& x, const DenseMatrix<float>& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+double cost_walks() { return obs::counter("kernel.v4.cost_walks").value(); }
+
+/// One jigsaw_run and the number of cost walks it did.
+struct CountedRun {
+  JigsawRunResult run;
+  double walks = 0.0;
+};
+
+CountedRun run_counted(const JigsawPlan& plan, const DenseMatrix<fp16_t>& b,
+                       const gpusim::CostModel& cm,
+                       const EngineOptions::Run& ro = {}) {
+  const double before = cost_walks();
+  JigsawRunResult run = jigsaw_run(plan, b, cm, ro);
+  return {std::move(run), cost_walks() - before};
+}
+
+void expect_bitwise_equal(const JigsawRunResult& got,
+                          const JigsawRunResult& want) {
+  EXPECT_EQ(got.selected_block_tile, want.selected_block_tile);
+  EXPECT_EQ(got.report.name, want.report.name);
+  EXPECT_TRUE(same_bits(got.report.duration_cycles,
+                        want.report.duration_cycles))
+      << got.report.duration_cycles << " vs " << want.report.duration_cycles;
+  ASSERT_TRUE(got.c.has_value() && want.c.has_value());
+  EXPECT_TRUE(same_bits(*got.c, *want.c)) << "product differs";
+}
+
+/// Runs `warm` (a plan queried before) and a fresh plan of the same matrix
+/// with the same options, expects them bitwise equal, and returns the
+/// number of cost walks the warm run did.
+double warm_walks_matching_fresh(const JigsawPlan& warm,
+                                 const DenseMatrix<fp16_t>& a,
+                                 const DenseMatrix<fp16_t>& b,
+                                 const gpusim::CostModel& cm,
+                                 const EngineOptions::Run& ro = {}) {
+  const CountedRun got = run_counted(warm, b, cm, ro);
+  expect_bitwise_equal(got.run, jigsaw_run(jigsaw_plan(a, {}), b, cm, ro));
+  return got.walks;
+}
+
+class CandidateMemo : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::reset_metrics();
+    obs::set_metrics_enabled(true);
+  }
+  void TearDown() override { obs::set_metrics_enabled(false); }
+};
+
+TEST_F(CandidateMemo, WarmPlanMatchesAFreshPlanAtEveryWidth) {
+  const auto a = memo_matrix();
+  const JigsawPlan warm = jigsaw_plan(a, {});
+  const gpusim::CostModel cm;
+  std::set<int> winners;
+  for (const std::size_t n : {1u, 8u, 128u, 256u, 512u, 4096u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto b = random_b(a.cols(), n, 100 + n);
+    const JigsawRunResult fresh = jigsaw_run(jigsaw_plan(a, {}), b, cm);
+    const CountedRun miss = run_counted(warm, b, cm);
+    const CountedRun hit = run_counted(warm, b, cm);
+    EXPECT_EQ(miss.walks, 3.0);
+    EXPECT_EQ(hit.walks, 0.0);
+    expect_bitwise_equal(miss.run, fresh);
+    expect_bitwise_equal(hit.run, fresh);
+    winners.insert(fresh.selected_block_tile);
+  }
+  // The sweep must cross a change of winner, or it proves nothing about
+  // keying on N.
+  EXPECT_GT(winners.size(), 1u);
+}
+
+TEST_F(CandidateMemo, KeySeparatesDeviceTuningAndEpilogueShape) {
+  const auto a = memo_matrix();
+  const auto b = random_b(a.cols(), 256, 7);
+  const JigsawPlan warm = jigsaw_plan(a, {});
+  const gpusim::CostModel a100;
+  const gpusim::CostModel h100{gpusim::h100_sxm()};
+  EXPECT_EQ(warm_walks_matching_fresh(warm, a, b, a100), 3.0);
+  EXPECT_EQ(warm_walks_matching_fresh(warm, a, b, h100), 3.0);
+  // An equal device at another address is the same key.
+  const gpusim::ArchSpec copy = gpusim::a100();
+  EXPECT_EQ(warm_walks_matching_fresh(warm, a, b, gpusim::CostModel{copy}),
+            0.0);
+
+  EngineOptions::Run slow;
+  slow.tuning.deep_pipeline_stall_per_kstep *= 4.0;
+  EXPECT_EQ(warm_walks_matching_fresh(warm, a, b, a100, slow), 3.0);
+
+  const std::vector<float> bias(a.rows(), 0.25f);
+  EngineOptions::Run biased;
+  biased.epilogue.bias = &bias;
+  EXPECT_EQ(warm_walks_matching_fresh(warm, a, b, a100, biased), 3.0);
+  // The walk reads whether a bias is set, never its values.
+  const std::vector<float> other(a.rows(), -1.0f);
+  biased.epilogue.bias = &other;
+  EXPECT_EQ(warm_walks_matching_fresh(warm, a, b, a100, biased), 0.0);
+
+  EngineOptions::Run gelu;
+  gelu.epilogue.activation = Epilogue::Activation::kGelu;
+  EXPECT_EQ(warm_walks_matching_fresh(warm, a, b, a100, gelu), 3.0);
+}
+
+TEST_F(CandidateMemo, WalksOncePerKeyAndCopiesStartEmpty) {
+  const auto a = memo_matrix();
+  const auto b = random_b(a.cols(), 64, 9);
+  const gpusim::CostModel cm;
+  const EngineOptions::Run off{.compute_values = false};
+  JigsawPlan plan = jigsaw_plan(a, {});
+  EXPECT_EQ(run_counted(plan, b, cm, off).walks, 3.0) << "first run at N";
+  EXPECT_EQ(run_counted(plan, b, cm, off).walks, 0.0) << "repeat run";
+
+  const JigsawPlan copy = plan;
+  EXPECT_EQ(run_counted(copy, b, cm, off).walks, 3.0) << "copy of a warm plan";
+  JigsawPlan moved = std::move(plan);
+  EXPECT_EQ(run_counted(moved, b, cm, off).walks, 3.0) << "moved-to plan";
+  moved = copy;
+  EXPECT_EQ(run_counted(moved, b, cm, off).walks, 3.0) << "assigned-to plan";
+}
+
+TEST_F(CandidateMemo, EvictsTheOldestChoiceWhenFull) {
+  const auto a = vector_sparse(64, 128, 0.9, 4, 10);
+  const JigsawPlan plan = jigsaw_plan(a, {});
+  const gpusim::CostModel cm;
+  for (std::size_t n = 1; n <= SelectionMemo::kCapacity + 1; ++n) {
+    (void)jigsaw_select(plan, n, cm);
+  }
+  double before = cost_walks();
+  (void)jigsaw_select(plan, SelectionMemo::kCapacity + 1, cm);
+  (void)jigsaw_select(plan, 2, cm);
+  EXPECT_EQ(cost_walks() - before, 0.0) << "the newest kCapacity stay";
+  before = cost_walks();
+  (void)jigsaw_select(plan, 1, cm);
+  EXPECT_EQ(cost_walks() - before, 3.0) << "n=1, the oldest, was evicted";
 }
 
 TEST(JigsawKernel, ReportHasSaneStructure) {

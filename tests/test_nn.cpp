@@ -1,5 +1,6 @@
 // SparseLinear / SequentialModel tests: shape contracts, numeric
-// equivalence with an explicit reference pipeline, report aggregation.
+// equivalence with an explicit reference pipeline, report aggregation,
+// and repeated forwards reusing the plan's BLOCK_TILE choice.
 #include "nn/sparse_linear.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "matrix/reference.hpp"
+#include "obs/metrics.hpp"
 
 namespace jigsaw::nn {
 namespace {
@@ -55,6 +57,30 @@ TEST(SparseLinear, ForwardMatchesExplicitReference) {
     }
   }
   EXPECT_LE(max_abs_diff(fwd.activations, ref), gemm_tolerance(96, 2.0));
+}
+
+TEST(SparseLinear, RepeatedForwardWalksNoCandidates) {
+  // The layer's plan memoizes its BLOCK_TILE choice per batch width: the
+  // first forward walks the three V4 candidates, the next one none, and
+  // both report the same simulated time.
+  auto layer = SparseLinear::make_random(
+      64, 96, 0.9, 4, 13,
+      {.activation = core::Epilogue::Activation::kGelu, .name = "fc"});
+  const auto x = random_input(96, 16, 14);
+  gpusim::CostModel cm;
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  auto walks = [] { return obs::counter("kernel.v4.cost_walks").value(); };
+  const double w0 = walks();
+  const Forward first = layer.forward(x, cm);
+  const double w1 = walks();
+  const Forward second = layer.forward(x, cm);
+  const double w2 = walks();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(w1 - w0, 3.0);
+  EXPECT_EQ(w2 - w1, 0.0);
+  EXPECT_EQ(second.total_us(), first.total_us());
+  EXPECT_TRUE(second.activations == first.activations);
 }
 
 TEST(SparseLinear, RejectsWrongInputShape) {
