@@ -31,17 +31,15 @@ void run() {
     int count = 0;
     for (const auto& shape : shapes) {
       const auto a = dlmc::make_lhs(shape, s, v);
-      const auto b = dlmc::make_rhs(shape.k, n);
       const double dense =
           baselines::DenseGemmKernel::cost(shape.m, n, shape.k, cm)
               .duration_cycles;
-      const auto pure = core::jigsaw_run(core::jigsaw_plan(a.values(), {}), b,
-                                         cm, {.compute_values = false});
-      const auto hplan = core::hybrid_plan(a.values(), {});
-      const auto hybrid = core::hybrid_run(hplan, a.values(), b, cm,
-                                           {.compute_values = false});
+      const auto pure =
+          core::jigsaw_select(core::jigsaw_plan(a.values(), {}), n, cm);
+      const auto hplan = core::hybrid_plan(a.values(), {.block_tile = 16});
+      const auto hybrid = core::hybrid_cost(hplan, n, cm);
       pure_acc += dense / pure.report.duration_cycles;
-      hybrid_acc += dense / hybrid.report.duration_cycles;
+      hybrid_acc += dense / hybrid.duration_cycles;
       const double cols =
           static_cast<double>(a.cols()) * static_cast<double>(hplan.routing.size());
       dense_frac += static_cast<double>(hplan.total_dense_columns()) / cols;

@@ -42,14 +42,12 @@ void run() {
       plans.push_back(core::jigsaw_plan(a.values(), po));
     }
     for (const std::size_t n : ns) {
-      const auto b = dlmc::make_rhs(shape.k, n);
       const double dense =
           baselines::DenseGemmKernel::cost(shape.m, n, shape.k, cm)
               .duration_cycles;
       for (std::size_t i = 0; i < versions.size(); ++i) {
-        const auto run = core::jigsaw_run(plans[i], b, cm,
-                                          {.compute_values = false});
-        accs[i].add("s", dense / run.report.duration_cycles);
+        const auto sel = core::jigsaw_select(plans[i], n, cm);
+        accs[i].add("s", dense / sel.report.duration_cycles);
       }
     }
   }

@@ -46,11 +46,9 @@ void bench_spmm(benchmark::State& state) {
   }
 
   const gpusim::CostModel cm;
-  core::EngineOptions::Run ropts;
-  ropts.compute_values = true;
   core::JigsawRunResult last;
   for (auto _ : state) {
-    last = core::jigsaw_run(plan, b, cm, ropts);
+    last = core::jigsaw_run(plan, b, cm);
     benchmark::DoNotOptimize(last.c->data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

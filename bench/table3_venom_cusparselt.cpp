@@ -43,10 +43,8 @@ void run() {
             m, shape.k, cfg, 2024 + shape.m + shape.k);
         const auto plan = core::jigsaw_plan(a.values(), {});
         for (const std::size_t n : ns) {
-          const auto b = dlmc::make_rhs(shape.k, n);
           const double jig =
-              core::jigsaw_run(plan, b, cm, {.compute_values = false})
-                  .report.duration_cycles;
+              core::jigsaw_select(plan, n, cm).report.duration_cycles;
           const double venom =
               baselines::VenomKernel::cost(a, n, cfg, cm).duration_cycles;
           const double cusp =

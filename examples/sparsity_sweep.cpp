@@ -37,25 +37,17 @@ int main(int argc, char** argv) {
       const auto a = VectorSparseGenerator::generate(gen);
 
       const auto plan = core::jigsaw_plan(a.values());
-      DenseMatrix<fp16_t> b(k, n, fp16_t(0.5f));
-      const auto run =
-          core::jigsaw_run(plan, b, a100_model, {.compute_values = false});
+      const auto sel = core::jigsaw_select(plan, n, a100_model);
 
       // Stats of the selected candidate.
-      std::size_t selected = 0;
-      for (std::size_t i = 0; i < plan.formats.size(); ++i) {
-        if (plan.formats[i].tile_config().block_tile_m ==
-            run.selected_block_tile) {
-          selected = i;
-        }
-      }
-      const auto& reorder = plan.reorders[selected];
+      const auto& reorder = plan.reorders[sel.index];
       const double skipped =
           1.0 - reorder.mean_padded_cols() / static_cast<double>(k);
       std::printf("%8.0f%% %4zu %10s %8d %12.2f %9.2fx %8.0f%%\n",
                   sparsity * 100, v, reorder.success() ? "ok" : "grew-K",
-                  run.selected_block_tile, run.report.duration_us,
-                  dense_us / run.report.duration_us, skipped * 100);
+                  plan.formats[sel.index].tile_config().block_tile_m,
+                  sel.report.duration_us, dense_us / sel.report.duration_us,
+                  skipped * 100);
     }
     std::cout << "\n";
   }

@@ -27,12 +27,14 @@ class JigsawSpmmKernel final : public SpmmKernel {
     core::EngineOptions::Compile po;
     po.version = version_;
     const core::JigsawPlan plan = core::jigsaw_plan(a.values(), po);
-    core::EngineOptions::Run ro;
-    ro.compute_values = options.compute_values;
-    core::JigsawRunResult r = core::jigsaw_run(plan, b, cost_model, ro);
     SpmmResult result;
-    result.c = std::move(r.c);
-    result.report = std::move(r.report);
+    if (options.compute_values) {
+      core::JigsawRunResult r = core::jigsaw_run(plan, b, cost_model);
+      result.c = std::move(r.c);
+      result.report = std::move(r.report);
+    } else {
+      result.report = core::jigsaw_select(plan, b.cols(), cost_model).report;
+    }
     return result;
   }
 

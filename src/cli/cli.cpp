@@ -445,17 +445,18 @@ int cmd_profile(const Args& args, std::ostream& out) {
     (void)core::jigsaw_cost(f, n, version, cm);
   }
 
-  // Full V4 plan + run (tile tuning across BLOCK_TILE 16/32/64).
+  // Full V4 plan + candidate choice (tile tuning across BLOCK_TILE
+  // 16/32/64).
   {
     const auto plan = core::jigsaw_plan(a, {});
-    (void)core::jigsaw_run(plan, b, cm, {.compute_values = false});
+    (void)core::jigsaw_select(plan, b.cols(), cm);
   }
 
   // Functional compute + hybrid tier, then the serving engine's default
   // (checked) route: compile + execute.
   (void)core::jigsaw_compute(interleaved, b);
-  const auto hplan = core::hybrid_plan(a, {});
-  (void)core::hybrid_run(hplan, a, b, cm, {.compute_values = false});
+  const auto hplan = core::hybrid_plan(a, {.block_tile = 16});
+  (void)core::hybrid_cost(hplan, b.cols(), cm);
   {
     Engine engine({.worker_threads = 1, .cost_model = cm});
     auto compiled = engine.compile(a);

@@ -68,9 +68,6 @@ CheckedArtifact checked_compile(const DenseMatrix<fp16_t>& a,
   // SpTC path and runs on the hybrid dense-TC / CUDA-core pipes instead.
   const auto bt = static_cast<std::size_t>(options.block_tile);
   HybridPlan plan;
-  plan.options.tile = ropts.tile;
-  plan.options.reorder = ropts;
-  plan.options.cuda_route_max_nnz = options.cuda_route_max_nnz;
   plan.routing.resize(first.panels.size());
   for (std::size_t p = 0; p < first.panels.size(); ++p) {
     if (!degraded[p]) continue;
@@ -105,10 +102,10 @@ CheckedArtifact checked_compile(const DenseMatrix<fp16_t>& a,
   // the SpTC subset (same seed: untouched panels reorder identically).
   // The engine validates the resulting format with the rest of the
   // artifact.
-  ropts.column_filter = [degraded](std::size_t panel, std::uint32_t) {
-    return !degraded[panel];
-  };
-  plan.reorder = multi_granularity_reorder(a, ropts);
+  plan.reorder = multi_granularity_reorder(
+      a, ropts, [&degraded](std::size_t panel, std::uint32_t) {
+        return !degraded[panel];
+      });
   plan.format = JigsawFormat::build(a, plan.reorder);
   out.hybrid = std::move(plan);
   publish_degradation(deg);

@@ -1,6 +1,7 @@
 #include "core/hybrid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/error.hpp"
@@ -51,15 +52,15 @@ std::size_t HybridPlan::total_cuda_columns() const {
 }
 
 HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
-                       const HybridOptions& options) {
+                       const EngineOptions::Compile& options) {
   JIGSAW_TRACE_SCOPE("hybrid", "hybrid.plan");
-  options.tile.validate();
+  ReorderOptions ropts = options.reorder;
+  ropts.tile.block_tile_m = options.block_tile;
+  ropts.tile.validate();
   JIGSAW_CHECK_MSG(a.rows() > 0 && a.cols() > 0, "empty matrix");
 
   HybridPlan plan;
-  plan.options = options;
-
-  const std::size_t bt = static_cast<std::size_t>(options.tile.block_tile_m);
+  const std::size_t bt = static_cast<std::size_t>(options.block_tile);
   const std::size_t num_panels = (a.rows() + bt - 1) / bt;
   const auto dense_threshold = static_cast<std::uint32_t>(
       options.dense_route_min_density * kMmaTile);
@@ -88,12 +89,10 @@ HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
     }
   });
 
-  ReorderOptions ropts = options.reorder;
-  ropts.tile = options.tile;
-  ropts.column_filter = [&route_map](std::size_t panel, std::uint32_t col) {
-    return route_map[panel][col] == Route::kSpTC;
-  };
-  plan.reorder = multi_granularity_reorder(a, ropts);
+  plan.reorder = multi_granularity_reorder(
+      a, ropts, [&route_map](std::size_t panel, std::uint32_t col) {
+        return route_map[panel][col] == Route::kSpTC;
+      });
   plan.format = JigsawFormat::build(a, plan.reorder);
 
   if (obs::metrics_enabled()) {
@@ -123,8 +122,8 @@ DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
                a.cols() == plan.format.cols());
   JIGSAW_CHECK(b.rows() == a.cols());
   const std::size_t n = b.cols();
-  const std::size_t bt =
-      static_cast<std::size_t>(plan.options.tile.block_tile_m);
+  const auto bt =
+      static_cast<std::size_t>(plan.format.tile_config().block_tile_m);
 
   // SpTC subset through the format, then the dense and CUDA routes
   // accumulate on top.
@@ -137,7 +136,9 @@ DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
     const std::size_t row_begin = p * bt;
     const std::size_t row_end = std::min(row_begin + bt, a.rows());
 
-    // Dense tensor core route: 16-column tiles through mma.m16n8k16.
+    // Dense tensor core route: 16-column tiles through mma.m16n8k16. The
+    // tiles live on the stack, so the route's heap traffic does not grow
+    // with the number of dense tiles.
     for (std::size_t t0 = 0; t0 < routing.dense_columns.size(); t0 += 16) {
       const std::size_t tcols =
           std::min<std::size_t>(16, routing.dense_columns.size() - t0);
@@ -145,15 +146,18 @@ DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
            slice_row += kMmaTile) {
         const std::size_t mrows =
             std::min<std::size_t>(kMmaTile, a.rows() - slice_row);
-        DenseMatrix<fp16_t> atile(16, 16);
+        std::array<fp16_t, 16 * 16> abuf{};
+        const Span2d<fp16_t> atile(abuf.data(), 16, 16, 16);
         for (std::size_t j = 0; j < tcols; ++j) {
           const std::size_t col = routing.dense_columns[t0 + j];
           for (std::size_t r = 0; r < mrows; ++r) {
             atile(r, j) = a(slice_row + r, col);
           }
         }
-        DenseMatrix<fp16_t> btile(16, 8);
-        DenseMatrix<float> acc(16, 8);
+        std::array<fp16_t, 16 * 8> bbuf{};
+        const Span2d<fp16_t> btile(bbuf.data(), 16, 8, 8);
+        std::array<float, 16 * 8> accbuf{};
+        const Span2d<float> acc(accbuf.data(), 16, 8, 8);
         for (std::size_t n0 = 0; n0 < n; n0 += 8) {
           const std::size_t nw = std::min<std::size_t>(8, n - n0);
           for (std::size_t j = 0; j < tcols; ++j) {
@@ -165,10 +169,9 @@ DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
           for (std::size_t j = tcols; j < 16; ++j) {
             for (std::size_t q = 0; q < nw; ++q) btile(j, q) = fp16_t{};
           }
-          std::fill(acc.data(), acc.data() + acc.size(), 0.0f);
-          auto accv = acc.view().subview(0, 0, 16, nw);
-          sptc::mma_m16n8k16(atile.view(),
-                             btile.view().subview(0, 0, 16, nw), accv);
+          accbuf.fill(0.0f);
+          sptc::mma_m16n8k16(atile, btile.subview(0, 0, 16, nw),
+                             acc.subview(0, 0, 16, nw));
           for (std::size_t r = 0; r < mrows; ++r) {
             for (std::size_t q = 0; q < nw; ++q) {
               c(slice_row + r, n0 + q) += acc(r, q);
@@ -195,24 +198,18 @@ DenseMatrix<float> hybrid_compute(const HybridPlan& plan,
   return c;
 }
 
-HybridRunResult hybrid_run(const HybridPlan& plan,
-                           const DenseMatrix<fp16_t>& a,
-                           const DenseMatrix<fp16_t>& b,
-                           const gpusim::CostModel& cost_model,
-                           const EngineOptions::Run& options) {
-  JIGSAW_TRACE_SCOPE("hybrid", "hybrid.run");
-  obs::add("hybrid.runs");
-  JIGSAW_CHECK(a.rows() == plan.format.rows() &&
-               a.cols() == plan.format.cols());
-  JIGSAW_CHECK(b.rows() == a.cols());
-  const std::size_t n = b.cols();
-  const std::size_t bt =
-      static_cast<std::size_t>(plan.options.tile.block_tile_m);
+gpusim::KernelReport hybrid_cost(const HybridPlan& plan, std::size_t n,
+                                 const gpusim::CostModel& cost_model,
+                                 const JigsawTuning& tuning) {
+  JIGSAW_TRACE_SCOPE("hybrid", "hybrid.cost_walk");
+  obs::add("hybrid.cost_walks");
+  const int block_tile = plan.format.tile_config().block_tile_m;
+  const auto bt = static_cast<std::size_t>(block_tile);
   const int slices = plan.format.row_slices_per_panel();
 
-  // ---- Cost: start from the SpTC walk, add the two extra pipes.
-  gpusim::KernelReport sptc_report = jigsaw_cost(
-      plan.format, n, KernelVersion::kV4, cost_model, options.tuning);
+  // Start from the SpTC walk, add the two extra pipes.
+  gpusim::KernelReport sptc_report =
+      jigsaw_cost(plan.format, n, KernelVersion::kV4, cost_model, tuning);
   gpusim::KernelCounters counters = sptc_report.counters;
   const double n_pad = static_cast<double>(round_up(n, 8));
   const double nblocks = static_cast<double>((n + kBlockTileN - 1) /
@@ -248,13 +245,8 @@ HybridRunResult hybrid_run(const HybridPlan& plan,
     counters.l2_read_bytes += cuda_bytes * (nblocks - 1.0) / nblocks;
   }
 
-  HybridRunResult result;
-  result.report = cost_model.estimate(
-      "hybrid_bt" + std::to_string(plan.options.tile.block_tile_m), counters,
-      sptc_report.launch);
-
-  if (options.compute_values) result.c = hybrid_compute(plan, a, b);
-  return result;
+  return cost_model.estimate("hybrid_bt" + std::to_string(block_tile),
+                             counters, sptc_report.launch);
 }
 
 }  // namespace jigsaw::core

@@ -11,20 +11,20 @@
 //       - DENSE  (dense tensor core, mma.m16n8k16): columns whose nonzero
 //         density in some 16-row slice exceeds 50% — they would force the
 //         two-per-group fallback on the SpTC;
-//       - CUDA   (CUDA cores): columns with at most `cuda_max_nnz`
+//       - CUDA   (CUDA cores): columns with at most `cuda_route_max_nnz`
 //         nonzeros in the panel — too thin to feed a tensor core;
 //       - SPTC   (the standard Jigsaw path): everything in between;
 //   * the SpTC subset goes through the unchanged multi-granularity reorder
-//     and reorder-aware format (via ReorderOptions::column_filter);
+//     and reorder-aware format (via its column filter);
 //   * dense-routed columns form plain 16-wide dense tiles; CUDA-routed
 //     nonzeros are kept in per-panel coordinate lists;
 //   * one fused kernel report charges all three pipes, which the cost
 //     model naturally overlaps (tensor core, CUDA core and memory are
-//     independent resources).
+//     independent resources). Like the paper's kernels, it is costed from
+//     the plan and the RHS width alone.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/kernel.hpp"
@@ -32,21 +32,6 @@
 namespace jigsaw::core {
 
 enum class Route : std::uint8_t { kSpTC = 0, kDenseTC = 1, kCudaCore = 2 };
-
-struct HybridOptions {
-  /// BLOCK_TILE; 16 routes at single-slice precision, which keeps the
-  /// dense detour from dragging whole 64-row columns with it.
-  TileConfig tile{.block_tile_m = 16};
-  /// Columns whose densest 16-row slice exceeds this fraction go to the
-  /// dense tensor core. 0.75 targets columns that would force the
-  /// two-per-group SpTC fallback while leaving borderline columns to the
-  /// reorder, which often still packs them at full utilization.
-  double dense_route_min_density = 0.75;
-  /// Columns with at most this many nonzeros in the whole panel go to the
-  /// CUDA cores.
-  std::uint32_t cuda_route_max_nnz = 2;
-  ReorderOptions reorder{};  ///< knobs for the SpTC subset
-};
 
 /// Routing decision and payload for one panel.
 struct PanelRouting {
@@ -56,33 +41,28 @@ struct PanelRouting {
 };
 
 struct HybridPlan {
-  HybridOptions options;
-  JigsawFormat format;            ///< SpTC subset, standard Jigsaw format
-  ReorderResult reorder;          ///< for stats
+  JigsawFormat format;                ///< SpTC subset at the plan's BLOCK_TILE
+  ReorderResult reorder;              ///< for stats
   std::vector<PanelRouting> routing;  ///< one per panel
 
   std::size_t total_dense_columns() const;
   std::size_t total_cuda_columns() const;
 };
 
-/// Classifies columns and preprocesses the SpTC subset.
+/// Classifies columns and preprocesses the SpTC subset. Reads
+/// `block_tile`, `dense_route_min_density`, `cuda_route_max_nnz` and
+/// `reorder` of `options`. BLOCK_TILE 16 routes at single-slice precision,
+/// which keeps the dense detour from dragging whole 64-row columns with it.
 HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
-                       const HybridOptions& options = {});
+                       const EngineOptions::Compile& options);
 
-struct HybridRunResult {
-  std::optional<DenseMatrix<float>> c;
-  gpusim::KernelReport report;
-};
-
-/// Executes the fused hybrid kernel: the simulated report of all three
-/// pipes and, when `options.compute_values`, hybrid_compute's product.
-/// The fused epilogue of `options` is ignored here (the engine applies it
-/// after the three pipes merge).
-HybridRunResult hybrid_run(const HybridPlan& plan,
-                           const DenseMatrix<fp16_t>& a,
-                           const DenseMatrix<fp16_t>& b,
-                           const gpusim::CostModel& cost_model,
-                           const EngineOptions::Run& options = {});
+/// Simulated report of the fused hybrid kernel against an n-column RHS:
+/// the SpTC subset's V4 cost walk plus the dense-TC and CUDA-core pipes.
+/// The fused epilogue is not charged (the engine applies it after the
+/// three pipes merge).
+gpusim::KernelReport hybrid_cost(const HybridPlan& plan, std::size_t n,
+                                 const gpusim::CostModel& cost_model,
+                                 const JigsawTuning& tuning = {});
 
 /// Functional path only (the analogue of jigsaw_compute): SpTC tiles
 /// through the Jigsaw path, dense tiles through mma.m16n8k16, CUDA-routed

@@ -669,9 +669,7 @@ JigsawRunResult jigsaw_run(const JigsawPlan& plan,
   JigsawRunResult result;
   result.report = std::move(chosen.report);
   result.selected_block_tile = format.tile_config().block_tile_m;
-  if (options.compute_values) {
-    result.c = jigsaw_compute(format, b, options.epilogue);
-  }
+  result.c = jigsaw_compute(format, b, options.epilogue);
   return result;
 }
 

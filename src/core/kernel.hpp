@@ -123,22 +123,25 @@ JigsawPlan jigsaw_plan(const DenseMatrix<fp16_t>& a,
 /// BLOCK_TILE tuning for V4; V0..V3 plans have one candidate). The first
 /// call per Key walks every candidate; later calls return the memoized
 /// winner and run no walk, so they emit no `kernel.vN.*` counter.
-/// Reads only `tuning` and `epilogue` of `options`.
+/// Report-only callers read the picked BLOCK_TILE from
+/// plan.formats[index].
 JigsawSelection jigsaw_select(const JigsawPlan& plan, std::size_t n,
                               const gpusim::CostModel& cost_model,
                               const EngineOptions::Run& options = {});
 
 struct JigsawRunResult {
-  std::optional<DenseMatrix<float>> c;  ///< set when compute_values
+  /// Always set; it stays a std::optional only because the benchmark
+  /// program (perfbench/) dereferences it.
+  std::optional<DenseMatrix<float>> c;
   gpusim::KernelReport report;
   int selected_block_tile = 0;  ///< the BLOCK_TILE V4 picked
 };
 
-/// Executes the kernel against a dense RHS: always produces the simulated
-/// kernel report of the candidate jigsaw_select picks for b.cols();
-/// optionally also the exact numeric result through that candidate.
-/// Repeated widths on one plan reuse the memoized choice, so only the
-/// first run at each width pays for the cost walks.
+/// Executes the kernel against a dense RHS: the simulated kernel report of
+/// the candidate jigsaw_select picks for b.cols() and the exact numeric
+/// result through that candidate. Repeated widths on one plan reuse the
+/// memoized choice, so only the first run at each width pays for the cost
+/// walks.
 JigsawRunResult jigsaw_run(const JigsawPlan& plan,
                            const DenseMatrix<fp16_t>& b,
                            const gpusim::CostModel& cost_model,

@@ -1,6 +1,6 @@
 // Consolidated option surface of the Jigsaw pipeline.
 //
-// One EngineOptions value carries every knob, in two sections:
+// Two sections carry every knob:
 //
 //   * EngineOptions::Compile — everything that shapes the immutable
 //     compiled artifact (kernel version, tiling, metadata layout, reorder
@@ -8,12 +8,13 @@
 //     sections on the same matrix produce interchangeable artifacts, which
 //     is what makes the engine's plan cache sound.
 //   * EngineOptions::Run — everything that varies per execution against an
-//     already-compiled artifact (value computation, latency-model tuning,
-//     fused epilogue). Run options never invalidate a cached artifact.
+//     already-compiled artifact (latency-model tuning, fused epilogue).
+//     Run options never invalidate a cached artifact.
 //
-// plus the ExecutionPolicy selecting which tier executes the artifact.
-// The lower-level entry points take the matching section directly
-// (jigsaw_plan a Compile, jigsaw_run and hybrid_run a Run). See
+// EngineOptions itself holds the ExecutionPolicy and the Compile section:
+// what Engine::compile reads. Engine::submit, execute and cost take their
+// own Run. The lower-level entry points take the matching section directly
+// (jigsaw_plan and hybrid_plan a Compile, jigsaw_run a Run). See
 // docs/API.md.
 #pragma once
 
@@ -102,13 +103,18 @@ struct EngineOptions {
     /// BLOCK_TILE of the checked and hybrid routes and of kRaw V0..V3;
     /// kRaw V4 (and jigsaw_plan at V4) tunes over {16, 32, 64} instead.
     int block_tile = 64;
+    /// Reorder knobs. reorder.tile is not read: every route reorders at
+    /// block_tile (or the kRaw V4 candidates), so the cache key skips it.
     ReorderOptions reorder{};
     /// Metadata layout of the one format an undegraded kChecked artifact
     /// executes. kRaw formats follow their version (V0..V2 kNaive, V3+
     /// kInterleaved); the hybrid route's SpTC subset is kInterleaved.
     MetadataLayout metadata_layout = MetadataLayout::kInterleaved;
     /// Hybrid routing (kHybrid policy): columns whose densest 16-row
-    /// slice exceeds this fraction go to the dense tensor core.
+    /// slice exceeds this fraction go to the dense tensor core. 0.75
+    /// targets columns that would force the two-per-group SpTC fallback
+    /// while leaving borderline columns to the reorder, which often still
+    /// packs them at full utilization.
     double dense_route_min_density = 0.75;
     /// Hybrid/checked routing: columns with at most this many panel
     /// nonzeros fall back to the CUDA cores.
@@ -124,14 +130,12 @@ struct EngineOptions {
   /// Run-time section: varies per execution, never invalidates a cached
   /// artifact.
   struct Run {
-    bool compute_values = true;  ///< run the functional path
     JigsawTuning tuning{};
     Epilogue epilogue{};  ///< fused bias/activation (§ inference use)
   };
 
   ExecutionPolicy policy = ExecutionPolicy::kAuto;
   Compile compile;
-  Run run;
 };
 
 /// Deprecated spelling of EngineOptions::Run. The benchmark program

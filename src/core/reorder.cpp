@@ -380,7 +380,8 @@ namespace {
 // (reorder_panels) depends on exactly that property.
 PanelReorder plan_panel_at(const CsrMatrix& csr, std::size_t rows,
                            std::size_t total_cols,
-                           const ReorderOptions& options, std::size_t p,
+                           const ReorderOptions& options,
+                           const ColumnFilter& column_filter, std::size_t p,
                            int row_slices, std::uint32_t limit,
                            TileSearchCache* cache, PlanStats& local) {
   JIGSAW_TRACE_SCOPE("reorder", "reorder.panel");
@@ -394,7 +395,7 @@ PanelReorder plan_panel_at(const CsrMatrix& csr, std::size_t rows,
   std::vector<std::uint32_t> live;
   live.reserve(csr.cols());
   for (std::uint32_t c = 0; c < csr.cols(); ++c) {
-    if (options.column_filter && !options.column_filter(p, c)) {
+    if (column_filter && !column_filter(p, c)) {
       continue;  // routed to another compute unit (hybrid extension)
     }
     bool any = false;
@@ -458,7 +459,8 @@ PanelReorder plan_panel_at(const CsrMatrix& csr, std::size_t rows,
 }  // namespace
 
 ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
-                                        const ReorderOptions& options) {
+                                        const ReorderOptions& options,
+                                        const ColumnFilter& column_filter) {
   JIGSAW_TRACE_SCOPE("reorder", "reorder.plan");
   const auto t_start = Clock::now();
   options.tile.validate();
@@ -491,8 +493,9 @@ ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
       [&](std::int64_t pi) {
         const std::size_t p = static_cast<std::size_t>(pi);
         PlanStats local;
-        result.panels[p] = plan_panel_at(csr, a.rows(), a.cols(), options, p,
-                                         row_slices, limit, cache, local);
+        result.panels[p] =
+            plan_panel_at(csr, a.rows(), a.cols(), options, column_filter, p,
+                          row_slices, limit, cache, local);
         std::lock_guard<std::mutex> lock(stats_mu);
         total.merge(local);
       },
@@ -542,8 +545,8 @@ void reorder_panels(const DenseMatrix<fp16_t>& a,
       [&](std::int64_t i) {
         const std::size_t p = panels[static_cast<std::size_t>(i)];
         PlanStats local;
-        result.panels[p] = plan_panel_at(csr, a.rows(), a.cols(), options, p,
-                                         row_slices, limit, cache, local);
+        result.panels[p] = plan_panel_at(csr, a.rows(), a.cols(), options, {},
+                                         p, row_slices, limit, cache, local);
         std::lock_guard<std::mutex> lock(stats_mu);
         total.merge(local);
       },

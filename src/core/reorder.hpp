@@ -42,11 +42,6 @@ struct ReorderOptions {
   MmaTileSearchOptions search{};     ///< Algorithm 1 knobs
   int eviction_limit_per_tile = 64;  ///< retries before tail splitting
   std::uint64_t seed = 0x517cc1b727220a95ull;  ///< greedy-shuffle seed
-  /// Optional per-panel column filter: when set, only columns for which
-  /// filter(panel, column) is true participate in the reorder; the rest
-  /// are treated like zero columns. Used by the hybrid extension (§4.7)
-  /// to route dense or ultra-sparse columns to other compute units.
-  std::function<bool(std::size_t panel, std::uint32_t column)> column_filter;
 
   /// Reuse quad enumerations of repeated tile patterns through the
   /// process-wide two-level memo cache. Bit-exact on or off.
@@ -169,13 +164,22 @@ struct ReorderResult {
   std::uint64_t failure_count(PanelFailure f) const;
 };
 
+/// Per-panel column filter: only columns for which filter(panel, column)
+/// is true participate in the reorder; the rest are treated like zero
+/// columns. The hybrid extension (§4.7) and the checked tier's degradation
+/// step use it to route columns to other compute units.
+using ColumnFilter =
+    std::function<bool(std::size_t panel, std::uint32_t column)>;
+
 /// Runs the multi-granularity sparsity reorder. Rows are processed in
 /// BLOCK_TILE panels (the final panel may be shorter; it is handled as a
 /// zero-padded full panel). Deterministic for a fixed seed — independent of
 /// thread count, memo-cache state, and the incremental-retry toggle.
-/// Panels are processed in parallel.
+/// Panels are processed in parallel. An empty `column_filter` keeps every
+/// column.
 ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
-                                        const ReorderOptions& options = {});
+                                        const ReorderOptions& options = {},
+                                        const ColumnFilter& column_filter = {});
 
 /// Re-plans only `panels` (indices into result.panels) of an existing plan
 /// of a same-shaped matrix whose content has since changed inside those

@@ -125,11 +125,10 @@ std::uint64_t options_content_hash(const EngineOptions& options,
   // entry — an update retiring its old generation cannot evict the
   // read-only artifact other callers keep hitting.
   fnv_mix(h, static_cast<std::uint64_t>(c.updatable));
-  // Every plan-affecting reorder knob. max_threads is deliberately
-  // excluded (plans are thread-count invariant) and column_filter is a
-  // std::function — requests carrying one are never cached at all.
+  // Every plan-affecting reorder knob. Deliberately excluded: max_threads
+  // (plans are thread-count invariant) and tile (every route overwrites
+  // it with block_tile or the kRaw V4 candidates).
   const core::ReorderOptions& r = c.reorder;
-  fnv_mix(h, static_cast<std::uint64_t>(r.tile.block_tile_m));
   fnv_mix(h, static_cast<std::uint64_t>(r.search.bank_conflict_aware));
   fnv_mix(h, static_cast<std::uint64_t>(r.search.greedy_attempts));
   fnv_mix(h, r.search.max_pair_iterations);
@@ -161,14 +160,6 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::compile(
   const ExecutionPolicy policy = options.policy == ExecutionPolicy::kAuto
                                      ? ExecutionPolicy::kChecked
                                      : options.policy;
-  const bool cacheable = !options.compile.reorder.column_filter;
-  if (!cacheable) {
-    obs::add("engine.cache.bypass");
-    auto artifact = compile_artifact(a, options, policy, CacheKey{});
-    if (!artifact.ok()) return artifact.status();
-    return std::shared_ptr<const CompiledMatrix>(artifact.value());
-  }
-
   const CacheKey key{matrix_content_hash(a),
                      options_content_hash(options, policy)};
   if (auto hit = cache_.find(key)) {
@@ -223,12 +214,7 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
         break;
       }
       case ExecutionPolicy::kHybrid: {
-        core::HybridOptions hopts;
-        hopts.tile.block_tile_m = options.compile.block_tile;
-        hopts.dense_route_min_density = options.compile.dense_route_min_density;
-        hopts.cuda_route_max_nnz = options.compile.cuda_route_max_nnz;
-        hopts.reorder = options.compile.reorder;
-        cm->hybrid = core::hybrid_plan(a, hopts);
+        cm->hybrid = core::hybrid_plan(a, options.compile);
         primary = &cm->hybrid->reorder;
         break;
       }
@@ -256,7 +242,7 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
   }
   Status finalized = finalize_artifact(*cm, a);
   if (!finalized.ok()) return finalized;
-  if (cm->updatable) {
+  if (cm->options.updatable) {
     // Fresh lineage cell with this generation-0 artifact as its head. A
     // racing compile of the same key converges on whichever artifact the
     // cache published first, lineage and all; the loser's cell is simply
@@ -290,7 +276,6 @@ Status Engine::finalize_artifact(CompiledMatrix& cm,
     }
     bytes += footprint_of(*f);
   }
-  cm.updatable = cm.options.updatable;
 
   if (cm.hybrid.has_value()) {
     for (const core::PanelRouting& r : cm.hybrid->routing) {
@@ -298,7 +283,7 @@ Status Engine::finalize_artifact(CompiledMatrix& cm,
                sizeof(std::uint32_t);
     }
   }
-  if (cm.hybrid.has_value() || cm.updatable) {
+  if (cm.hybrid.has_value() || cm.options.updatable) {
     // The hybrid pipes read their columns from the original operand, and
     // Engine::update applies deltas against it — either way the operand
     // stays resident with the artifact and is charged to the cache.
@@ -433,7 +418,7 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
     return Status(StatusCode::kInvalidArgument,
                   "update with a null CompiledMatrix handle");
   }
-  if (!handle->updatable || handle->lineage == nullptr) {
+  if (!handle->options.updatable || handle->lineage == nullptr) {
     return Status(StatusCode::kInvalidArgument,
                   "artifact was not compiled updatable; set "
                   "EngineOptions::Compile::updatable before compile()");
@@ -479,28 +464,24 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
   }
   std::shared_ptr<CompiledMatrix> cm = rebuilt.value();
   cm->generation = base->generation + 1;
-  cm->updatable = true;
   cm->lineage = lineage;
 
-  std::shared_ptr<const CompiledMatrix> published = cm;
-  if (!base->options.reorder.column_filter) {
-    // Insert the new generation's key BEFORE retiring the old one: a
-    // failed insert (kCapacityExhausted) must leave the old generation
-    // both cached and serving. erase() then retires exactly the
-    // superseded key — unrelated entries keep their recency.
-    const CacheKey new_key{cm->matrix_hash, cm->options_hash};
-    auto inserted = cache_.insert(new_key, published, cm->footprint_bytes);
-    if (!inserted.ok()) {
-      // jigsaw-lint: allow(obs-name): named after the serving API surface
-      // (engine.update), not an obs subsystem.
-      obs::add("jigsaw.engine.update.failures");
-      return inserted.status();
-    }
-    published = inserted.value();
-    cache_.erase(CacheKey{base->matrix_hash, base->options_hash});
-    obs::gauge_set("engine.cache.bytes",
-                   static_cast<double>(cache_.stats().bytes));
+  // Insert the new generation's key BEFORE retiring the old one: a failed
+  // insert (kCapacityExhausted) must leave the old generation both cached
+  // and serving. erase() then retires exactly the superseded key —
+  // unrelated entries keep their recency.
+  const CacheKey new_key{cm->matrix_hash, cm->options_hash};
+  auto inserted = cache_.insert(new_key, cm, cm->footprint_bytes);
+  if (!inserted.ok()) {
+    // jigsaw-lint: allow(obs-name): named after the serving API surface
+    // (engine.update), not an obs subsystem.
+    obs::add("jigsaw.engine.update.failures");
+    return inserted.status();
   }
+  std::shared_ptr<const CompiledMatrix> published = inserted.value();
+  cache_.erase(CacheKey{base->matrix_hash, base->options_hash});
+  obs::gauge_set("engine.cache.bytes",
+                 static_cast<double>(cache_.stats().bytes));
   // The RCU swap: new submits going through latest() see the new
   // generation from here on; in-flight executions finish on whatever
   // generation their shared_ptr pins. The engine owns the head before it
@@ -620,11 +601,8 @@ std::future<Result<DenseMatrix<float>>> Engine::submit(
 gpusim::KernelReport Engine::cost(const CompiledMatrix& handle, std::size_t n,
                                   const EngineOptions::Run& run) const {
   if (handle.hybrid.has_value()) {
-    DenseMatrix<fp16_t> b(handle.cols, n);
-    core::HybridRunResult rr =
-        core::hybrid_run(*handle.hybrid, handle.lhs, b, config_.cost_model,
-                         {.compute_values = false, .tuning = run.tuning});
-    return rr.report;
+    return core::hybrid_cost(*handle.hybrid, n, config_.cost_model,
+                             run.tuning);
   }
   if (handle.policy == ExecutionPolicy::kRaw) {
     return core::jigsaw_select(handle.plan, n, config_.cost_model, run).report;

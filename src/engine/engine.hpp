@@ -3,7 +3,7 @@
 // The library's layers grew bottom-up: multi_granularity_reorder →
 // JigsawFormat → jigsaw_plan/jigsaw_run for the trusted path,
 // checked_compile's panel degradation for the degrade-don't-die tier,
-// hybrid_plan/hybrid_run for the §4.7 mixed-unit extension. A serving
+// hybrid_plan/hybrid_compute for the §4.7 mixed-unit extension. A serving
 // system needs exactly one entry point:
 //
 //   Engine engine;
@@ -134,7 +134,6 @@ struct CompiledMatrix {
   /// compile, +1 per successful Engine::update that produced this
   /// artifact. Surfaced through the jigsaw.engine.update.* metrics.
   std::uint64_t generation = 0;
-  bool updatable = false;  ///< compiled with EngineOptions::Compile::updatable
   /// Set on updatable artifacts: the shared RCU cell Engine::update
   /// publishes successor generations through (see Lineage). Every
   /// generation of one compile holds the same cell.
@@ -204,9 +203,7 @@ class Engine {
   /// Typed failures: kInvalidArgument (empty operand, bad BLOCK_TILE),
   /// kReorderFailed (kRaw policy and no candidate reorder succeeded),
   /// kInternal (a freshly built format failed validation),
-  /// kCapacityExhausted (artifact larger than a cache shard). Requests
-  /// with a ReorderOptions::column_filter are compiled but never cached
-  /// (a std::function has no stable identity to key on).
+  /// kCapacityExhausted (artifact larger than a cache shard).
   [[nodiscard]] Result<std::shared_ptr<const CompiledMatrix>> compile(
       const DenseMatrix<fp16_t>& a, const EngineOptions& options = {});
 
@@ -278,9 +275,9 @@ class Engine {
       const std::vector<bool>& row_dirty) const;
 
   /// Shared artifact tail and the one format enforcer: validates every
-  /// format the artifact carries (format(), or plan.formats under kRaw),
-  /// computes the resident footprint (retaining the operand for
-  /// hybrid/updatable artifacts), and stamps the updatable flag.
+  /// format the artifact carries (format(), or plan.formats under kRaw)
+  /// and computes the resident footprint (retaining the operand for
+  /// hybrid/updatable artifacts).
   [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm,
                                          const DenseMatrix<fp16_t>& a) const;
 
@@ -308,7 +305,8 @@ std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a);
 /// Hash of every option that changes the compiled artifact (policy plus
 /// the compile section; run-section options never affect the artifact).
 /// ReorderOptions::max_threads is excluded — plans are thread-count
-/// invariant. Exposed for tests.
+/// invariant — and so is ReorderOptions::tile, which every route
+/// overwrites. Exposed for tests.
 std::uint64_t options_content_hash(const EngineOptions& options,
                                    ExecutionPolicy resolved_policy);
 

@@ -125,27 +125,24 @@ TEST(Differential, HybridRouteMatchesReferenceAndIsThreadCountInvariant) {
   // The hybrid router splits work across three pipes and the planner runs
   // panel-parallel; neither the routing nor the accumulated C may depend
   // on how many threads did the planning.
-  const gpusim::CostModel cm;
   for (const SweepCase& c : sweep_cases()) {
     const auto a = lhs_for(c);
     const auto b = dlmc::make_rhs(c.k, kN, c.seed + 4000);
     const auto ref = reference_gemm(a, b);
 
-    HybridOptions serial_opts;
+    EngineOptions::Compile serial_opts{.block_tile = 16};
     serial_opts.reorder.max_threads = 1;
     const auto serial_plan = hybrid_plan(a, serial_opts);
-    const auto serial = hybrid_run(serial_plan, a, b, cm);
+    const auto serial = hybrid_compute(serial_plan, a, b);
 
-    HybridOptions parallel_opts;
+    EngineOptions::Compile parallel_opts{.block_tile = 16};
     parallel_opts.reorder.max_threads = 0;  // all available workers
     const auto parallel_plan = hybrid_plan(a, parallel_opts);
-    const auto parallel = hybrid_run(parallel_plan, a, b, cm);
+    const auto parallel = hybrid_compute(parallel_plan, a, b);
 
-    ASSERT_TRUE(serial.c.has_value());
-    ASSERT_TRUE(parallel.c.has_value());
-    EXPECT_TRUE(allclose(*serial.c, ref, c.k))
-        << describe(c) << " max diff " << max_abs_diff(*serial.c, ref);
-    EXPECT_TRUE(*serial.c == *parallel.c) << describe(c);
+    EXPECT_TRUE(allclose(serial, ref, c.k))
+        << describe(c) << " max diff " << max_abs_diff(serial, ref);
+    EXPECT_TRUE(serial == parallel) << describe(c);
     EXPECT_EQ(serial_plan.total_dense_columns(),
               parallel_plan.total_dense_columns());
     EXPECT_EQ(serial_plan.total_cuda_columns(),

@@ -12,6 +12,7 @@
 //     stays exact.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <future>
 #include <string>
 #include <vector>
@@ -150,18 +151,19 @@ TEST(EngineCache, DifferentOptionsAndContentMissSeparately) {
   EXPECT_EQ(engine.cache_stats().misses, 3u);
 }
 
-TEST(EngineCache, ColumnFilterRequestsBypassTheCache) {
+TEST(EngineCache, ReorderTileDoesNotSplitTheCache) {
+  // Every route reorders at block_tile (or the kRaw V4 candidates), so a
+  // compile that differs only in reorder.tile is the same artifact.
   Engine engine;
   const auto a = sample_lhs();
   EngineOptions options;
-  options.compile.reorder.column_filter = [](std::size_t,
-                                             std::uint32_t) { return true; };
   auto first = engine.compile(a, options);
+  options.compile.reorder.tile.block_tile_m = 16;
   auto second = engine.compile(a, options);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_NE(first.value().get(), second.value().get());
-  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  EXPECT_EQ(first.value().get(), second.value().get());
+  EXPECT_EQ(engine.cache_stats().entries, 1u);
 }
 
 // ---- Eviction and the byte bound ------------------------------------------
@@ -280,7 +282,6 @@ TEST(EnginePolicy, CheckedPolicyDegradesTheSameFaultAndStaysExact) {
   EngineOptions options;
   options.policy = ExecutionPolicy::kChecked;
   options.compile.block_tile = 16;
-  options.compile.reorder.tile.block_tile_m = 16;
   const auto a = adversarial_matrix();
   auto compiled = engine.compile(a, options);
   ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
@@ -353,10 +354,8 @@ TEST(CheckedRun, ReorderFailureDegradesToHybridAndStaysExact) {
   EXPECT_TRUE(valid.ok()) << valid.to_string();
 
   // ...and the product is exact despite the panel leaving the SpTC path.
-  const core::HybridRunResult run =
-      core::hybrid_run(*art.hybrid, a, b, gpusim::CostModel());
-  ASSERT_TRUE(run.c.has_value());
-  EXPECT_TRUE(allclose(*run.c, reference_gemm(a, b), a.cols()));
+  const DenseMatrix<float> c = core::hybrid_compute(*art.hybrid, a, b);
+  EXPECT_TRUE(allclose(c, reference_gemm(a, b), a.cols()));
 }
 
 TEST(EnginePolicy, CleanMatrixBuildsOneFormatAndStaysUndegraded) {
@@ -471,20 +470,28 @@ TEST(EnginePolicy, HybridAndRawRoutesMatchTheReference) {
   EXPECT_EQ(engine.cache_stats().entries, 3u);
 }
 
+/// The two routes that reach the hybrid pipes: kHybrid, and kChecked on a
+/// matrix whose reorder degrades.
+struct HybridRouteCase {
+  const char* name;
+  ExecutionPolicy policy;
+  DenseMatrix<fp16_t> a;
+};
+
+std::vector<HybridRouteCase> hybrid_route_cases() {
+  std::vector<HybridRouteCase> cases;
+  cases.push_back({"hybrid", ExecutionPolicy::kHybrid, sample_lhs()});
+  cases.push_back(
+      {"degraded", ExecutionPolicy::kChecked, adversarial_matrix()});
+  return cases;
+}
+
 TEST(EnginePolicy, HybridRouteExecuteWalksNothing) {
   // The hybrid route (kHybrid, or kChecked after degradation) computes
   // through hybrid_compute alone: an execute runs no cost walk, while
   // Engine::cost still walks the SpTC subset once. The product is
-  // hybrid_run's.
-  struct Case {
-    const char* name;
-    ExecutionPolicy policy;
-    DenseMatrix<fp16_t> a;
-  };
-  const Case cases[] = {{"hybrid", ExecutionPolicy::kHybrid, sample_lhs()},
-                        {"degraded", ExecutionPolicy::kChecked,
-                         adversarial_matrix()}};
-  for (const Case& c : cases) {
+  // hybrid_compute's.
+  for (const HybridRouteCase& c : hybrid_route_cases()) {
     SCOPED_TRACE(c.name);
     Engine engine;
     EngineOptions options;
@@ -508,10 +515,35 @@ TEST(EnginePolicy, HybridRouteExecuteWalksNothing) {
     EXPECT_EQ(w2 - w1, 1.0) << "cost walks the SpTC subset once";
 
     ASSERT_TRUE(result.ok()) << result.status().to_string();
-    const core::HybridRunResult run = core::hybrid_run(
-        *handle.hybrid, handle.lhs, b, engine.config().cost_model);
-    ASSERT_TRUE(run.c.has_value());
-    EXPECT_TRUE(result.value() == *run.c);
+    EXPECT_TRUE(result.value() ==
+                core::hybrid_compute(*handle.hybrid, handle.lhs, b));
+  }
+}
+
+TEST(EnginePolicy, HybridRouteCostIsHybridCost) {
+  // Engine::cost on the hybrid route is hybrid_cost of the artifact's plan
+  // at the request width, bit for bit, on both routes that reach it.
+  for (const HybridRouteCase& c : hybrid_route_cases()) {
+    SCOPED_TRACE(c.name);
+    Engine engine;
+    EngineOptions options;
+    options.policy = c.policy;
+    options.compile.block_tile = 16;
+    auto compiled = engine.compile(c.a, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+    const CompiledMatrix& handle = *compiled.value();
+    ASSERT_TRUE(handle.hybrid.has_value());
+    for (const std::size_t n : {1u, 64u, 4096u}) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      const gpusim::KernelReport got = engine.cost(handle, n);
+      const gpusim::KernelReport want =
+          core::hybrid_cost(*handle.hybrid, n, engine.config().cost_model);
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(got.name, "hybrid_bt16");
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.duration_cycles),
+                std::bit_cast<std::uint64_t>(want.duration_cycles))
+          << got.duration_cycles << " vs " << want.duration_cycles;
+    }
   }
 }
 
@@ -691,10 +723,9 @@ TEST(EngineOptionsSurface, HashCoversPlanAffectingKnobsOnly) {
   EXPECT_NE(options_content_hash(base, ExecutionPolicy::kRaw), h0);
 
   // Thread count never changes the plan, so it must not fragment the
-  // cache; run-section options don't affect the artifact either.
+  // cache.
   EngineOptions threaded;
   threaded.compile.reorder.max_threads = 3;
-  threaded.run.compute_values = false;
   EXPECT_EQ(options_content_hash(threaded, ExecutionPolicy::kChecked), h0);
 }
 

@@ -144,7 +144,7 @@ TEST(EngineUpdateDifferential, MatchesFromScratchCompileAcrossTheMatrix) {
         ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
         auto current = compiled.value();
         EXPECT_EQ(current->generation, 0u);
-        EXPECT_TRUE(current->updatable);
+        EXPECT_TRUE(current->options.updatable);
 
         Rng rng(mix_seed(7002, static_cast<std::uint64_t>(pc.policy),
                          static_cast<std::uint64_t>(version),
@@ -441,7 +441,6 @@ TEST(EngineUpdateFaults, FailedReorderLeavesTheOldGenerationServing) {
   options.policy = ExecutionPolicy::kRaw;
   options.compile.version = core::KernelVersion::kV1;
   options.compile.block_tile = 16;
-  options.compile.reorder.tile.block_tile_m = 16;
   options.compile.reorder.rescue_attempts = 0;
   options.compile.updatable = true;
 

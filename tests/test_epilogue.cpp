@@ -96,12 +96,11 @@ TEST(Epilogue, CostAccountsForFusion) {
   gpusim::CostModel cm;
   const auto plan = jigsaw_plan(p.a, {});
 
-  const auto plain = jigsaw_run(plan, p.b, cm, {.compute_values = false});
+  const auto plain = jigsaw_select(plan, p.b.cols(), cm);
   EngineOptions::Run opts;
-  opts.compute_values = false;
   opts.epilogue.bias = &p.bias;
   opts.epilogue.activation = Epilogue::Activation::kGelu;
-  const auto fused = jigsaw_run(plan, p.b, cm, opts);
+  const auto fused = jigsaw_select(plan, p.b.cols(), cm, opts);
 
   // The fused run charges CUDA-core work and the bias load, but never a
   // second pass over C (that is the point of fusing).

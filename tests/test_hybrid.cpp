@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/alloc_count.hpp"
 #include "matrix/reference.hpp"
 #include "matrix/vector_sparse.hpp"
 
@@ -42,9 +43,7 @@ TEST(Hybrid, RoutesDenseAndThinColumns) {
   for (std::size_t c = 20; c < 40; ++c) {                       // medium
     for (std::size_t r = c % 4; r < 32; r += 5) a(r, c) = fp16_t(0.5f);
   }
-  HybridOptions opts;
-  opts.tile.block_tile_m = 32;
-  const auto plan = hybrid_plan(a, opts);
+  const auto plan = hybrid_plan(a, {.block_tile = 32});
   ASSERT_EQ(plan.routing.size(), 1u);
   const auto& r = plan.routing[0];
   EXPECT_EQ(r.dense_columns, (std::vector<std::uint32_t>{0, 1}));
@@ -55,16 +54,14 @@ TEST(Hybrid, RoutesDenseAndThinColumns) {
 }
 
 TEST(Hybrid, MatchesReferenceAcrossSparsities) {
-  gpusim::CostModel cm;
   for (const double s : {0.5, 0.7, 0.9}) {
     const auto a = vector_sparse(64, 128, s, 4, 7);
     const auto b = random_b(128, 40, 8);
-    const auto plan = hybrid_plan(a, {});
-    const auto run = hybrid_run(plan, a, b, cm);
-    ASSERT_TRUE(run.c.has_value());
-    EXPECT_TRUE(allclose(*run.c, reference_gemm(a, b), a.cols()))
+    const auto plan = hybrid_plan(a, {.block_tile = 16});
+    const auto c = hybrid_compute(plan, a, b);
+    EXPECT_TRUE(allclose(c, reference_gemm(a, b), a.cols()))
         << "sparsity " << s
-        << " max diff " << max_abs_diff(*run.c, reference_gemm(a, b));
+        << " max diff " << max_abs_diff(c, reference_gemm(a, b));
   }
 }
 
@@ -84,35 +81,31 @@ TEST(Hybrid, MatchesReferenceOnPathologicalMix) {
   }
   a(5, 95) = fp16_t(2.0f);  // singleton
   const auto b = random_b(96, 17, 22);
-  gpusim::CostModel cm;
-  HybridOptions opts;
-  opts.tile.block_tile_m = 16;
-  const auto plan = hybrid_plan(a, opts);
+  const auto plan = hybrid_plan(a, {.block_tile = 16});
   EXPECT_GT(plan.total_dense_columns(), 0u);
   EXPECT_GT(plan.total_cuda_columns(), 0u);
-  const auto run = hybrid_run(plan, a, b, cm);
-  EXPECT_TRUE(allclose(*run.c, reference_gemm(a, b), a.cols()));
+  const auto c = hybrid_compute(plan, a, b);
+  EXPECT_TRUE(allclose(c, reference_gemm(a, b), a.cols()));
 }
 
 TEST(Hybrid, AllZeroAndAllDenseEdges) {
-  gpusim::CostModel cm;
   DenseMatrix<fp16_t> zeros(32, 64);
   const auto bz = random_b(64, 8, 1);
-  const auto plan_z = hybrid_plan(zeros, {});
-  const auto run_z = hybrid_run(plan_z, zeros, bz, cm);
-  for (std::size_t i = 0; i < run_z.c->size(); ++i) {
-    EXPECT_EQ(run_z.c->data()[i], 0.0f);
+  const auto plan_z = hybrid_plan(zeros, {.block_tile = 16});
+  const auto c_z = hybrid_compute(plan_z, zeros, bz);
+  for (std::size_t i = 0; i < c_z.size(); ++i) {
+    EXPECT_EQ(c_z.data()[i], 0.0f);
   }
 
   DenseMatrix<fp16_t> dense(32, 64, fp16_t(0.25f));
-  const auto plan_d = hybrid_plan(dense, {});
+  const auto plan_d = hybrid_plan(dense, {.block_tile = 16});
   // Every column routes to the dense tensor core; the SpTC format is empty.
   // 64 dense columns per 16-row panel, 2 panels.
   EXPECT_EQ(plan_d.total_dense_columns(), 64u * plan_d.routing.size());
   EXPECT_TRUE(plan_d.format.values().empty());
   const auto bd = random_b(64, 8, 2);
-  const auto run_d = hybrid_run(plan_d, dense, bd, cm);
-  EXPECT_TRUE(allclose(*run_d.c, reference_gemm(dense, bd), dense.cols()));
+  const auto c_d = hybrid_compute(plan_d, dense, bd);
+  EXPECT_TRUE(allclose(c_d, reference_gemm(dense, bd), dense.cols()));
 }
 
 TEST(Hybrid, BeatsPureJigsawAtLowSparsity) {
@@ -120,20 +113,16 @@ TEST(Hybrid, BeatsPureJigsawAtLowSparsity) {
   // wastes work on dense tiles; the hybrid routes them to dense TCs.
   gpusim::CostModel cm;
   const auto a = vector_sparse(512, 1024, 0.5, 8, 9);
-  const auto b = random_b(1024, 256, 10);
-  const auto pure = jigsaw_run(jigsaw_plan(a, {}), b, cm,
-                               {.compute_values = false});
+  const auto pure = jigsaw_select(jigsaw_plan(a, {}), 256, cm);
   const auto hybrid =
-      hybrid_run(hybrid_plan(a, {}), a, b, cm, {.compute_values = false});
-  EXPECT_LT(hybrid.report.duration_cycles, pure.report.duration_cycles);
+      hybrid_cost(hybrid_plan(a, {.block_tile = 16}), 256, cm);
+  EXPECT_LT(hybrid.duration_cycles, pure.report.duration_cycles);
 }
 
 TEST(Hybrid, NoRoutingAtHighSparsityMatchesJigsawStructure) {
   // At 95% with v=8 almost everything stays on the SpTC path.
   const auto a = vector_sparse(128, 256, 0.95, 8, 11);
-  HybridOptions opts;
-  opts.tile.block_tile_m = 64;
-  const auto plan = hybrid_plan(a, opts);
+  const auto plan = hybrid_plan(a, {.block_tile = 64});
   // Only columns with two dense vector slots in one slice route away
   // (~0.25% odds each at 95%): a marginal fraction.
   EXPECT_LT(static_cast<double>(plan.total_dense_columns()),
@@ -155,12 +144,33 @@ TEST(Hybrid, ReportChargesAllPipes) {
   for (std::size_t c = 10; c < 90; c += 2) {  // sptc columns
     for (std::size_t r = c % 5; r < 64; r += 6) a(r, c) = fp16_t(0.5f);
   }
-  const auto plan = hybrid_plan(a, {});
-  const auto run = hybrid_run(plan, a, random_b(128, 64, 32), cm,
-                              {.compute_values = false});
-  EXPECT_GT(run.report.counters.sptc_macs, 0.0);
-  EXPECT_GT(run.report.counters.tc_fp16_macs, 0.0);
-  EXPECT_GT(run.report.counters.cuda_macs, 0.0);
+  const auto plan = hybrid_plan(a, {.block_tile = 16});
+  const auto report = hybrid_cost(plan, 64, cm);
+  EXPECT_GT(report.counters.sptc_macs, 0.0);
+  EXPECT_GT(report.counters.tc_fp16_macs, 0.0);
+  EXPECT_GT(report.counters.cuda_macs, 0.0);
+}
+
+TEST(Hybrid, ComputeHeapTrafficIsIndependentOfDenseTiles) {
+  // The dense-TC route stages its tiles on the stack: a warm call makes
+  // the same heap allocations (the output) however many dense-routed
+  // tile-slices it runs.
+  const auto b = random_b(256, 32, 41);
+  std::vector<std::uint64_t> allocations;
+  std::vector<std::size_t> dense_columns;
+  for (const double s : {0.9, 0.5, 0.2}) {
+    const auto a = vector_sparse(256, 256, s, 4, 40);
+    const auto plan = hybrid_plan(a, {.block_tile = 16});
+    (void)hybrid_compute(plan, a, b);  // warm the scratch arenas
+    const std::uint64_t before = heap_allocation_count();
+    const auto c = hybrid_compute(plan, a, b);
+    allocations.push_back(heap_allocation_count() - before);
+    dense_columns.push_back(plan.total_dense_columns());
+    EXPECT_EQ(c.rows(), a.rows());
+  }
+  EXPECT_LT(dense_columns.front(), dense_columns.back());
+  EXPECT_EQ(allocations[0], allocations[1]);
+  EXPECT_EQ(allocations[0], allocations[2]);
 }
 
 }  // namespace

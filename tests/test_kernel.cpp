@@ -125,12 +125,11 @@ TEST(JigsawKernel, PlanBuildsThreeCandidatesForV4) {
 
 TEST(JigsawKernel, V4SelectsSomeCandidate) {
   const auto a = vector_sparse(128, 256, 0.95, 8, 11);
-  const auto b = random_b(256, 64, 12);
   gpusim::CostModel cm;
-  const auto run = jigsaw_run(jigsaw_plan(a, {}), b, cm, {.compute_values = false});
-  EXPECT_TRUE(run.selected_block_tile == 16 || run.selected_block_tile == 32 ||
-              run.selected_block_tile == 64);
-  EXPECT_FALSE(run.c.has_value());
+  const auto plan = jigsaw_plan(a, {});
+  const auto sel = jigsaw_select(plan, 64, cm);
+  const int bt = plan.formats[sel.index].tile_config().block_tile_m;
+  EXPECT_TRUE(bt == 16 || bt == 32 || bt == 64);
 }
 
 TEST(JigsawKernel, V4PrefersSmallTilesAtHighSparsity) {
@@ -141,10 +140,9 @@ TEST(JigsawKernel, V4PrefersSmallTilesAtHighSparsity) {
   // statistical statement.
   gpusim::CostModel cm;
   const auto a = vector_sparse(512, 512, 0.98, 8, 77);
-  const auto b = random_b(512, 256, 78);
-  const auto run = jigsaw_run(jigsaw_plan(a, {}), b, cm,
-                              {.compute_values = false});
-  EXPECT_LT(run.selected_block_tile, 64);
+  const auto plan = jigsaw_plan(a, {});
+  const auto sel = jigsaw_select(plan, 256, cm);
+  EXPECT_LT(plan.formats[sel.index].tile_config().block_tile_m, 64);
 }
 
 TEST(JigsawKernel, PlanReportsPreprocessingTime) {
@@ -185,11 +183,10 @@ TEST(JigsawKernel, AblationMonotoneSpeedup) {
     po.version = version;
     po.block_tile = 64;
     const auto plan = jigsaw_plan(a, po);
-    const auto b = random_b(512, 256, 15);
-    const auto run = jigsaw_run(plan, b, cm, {.compute_values = false});
-    EXPECT_LE(run.report.duration_cycles, prev * 1.02)
+    const auto sel = jigsaw_select(plan, 256, cm);
+    EXPECT_LE(sel.report.duration_cycles, prev * 1.02)
         << to_string(version) << " regressed";
-    prev = run.report.duration_cycles;
+    prev = sel.report.duration_cycles;
   }
 }
 
@@ -224,11 +221,9 @@ TEST(JigsawKernel, SparserIsFaster) {
   double prev = 1e300;
   for (const double s : {0.8, 0.9, 0.95, 0.98}) {
     const auto a = vector_sparse(256, 512, s, 8, 18);
-    const auto b = random_b(512, 128, 19);
-    const auto run = jigsaw_run(jigsaw_plan(a, {}), b, cm,
-                                {.compute_values = false});
-    EXPECT_LT(run.report.duration_cycles, prev) << s;
-    prev = run.report.duration_cycles;
+    const auto sel = jigsaw_select(jigsaw_plan(a, {}), 128, cm);
+    EXPECT_LT(sel.report.duration_cycles, prev) << s;
+    prev = sel.report.duration_cycles;
   }
 }
 
@@ -361,17 +356,16 @@ TEST_F(CandidateMemo, WalksOncePerKeyAndCopiesStartEmpty) {
   const auto a = memo_matrix();
   const auto b = random_b(a.cols(), 64, 9);
   const gpusim::CostModel cm;
-  const EngineOptions::Run off{.compute_values = false};
   JigsawPlan plan = jigsaw_plan(a, {});
-  EXPECT_EQ(run_counted(plan, b, cm, off).walks, 3.0) << "first run at N";
-  EXPECT_EQ(run_counted(plan, b, cm, off).walks, 0.0) << "repeat run";
+  EXPECT_EQ(run_counted(plan, b, cm).walks, 3.0) << "first run at N";
+  EXPECT_EQ(run_counted(plan, b, cm).walks, 0.0) << "repeat run";
 
   const JigsawPlan copy = plan;
-  EXPECT_EQ(run_counted(copy, b, cm, off).walks, 3.0) << "copy of a warm plan";
+  EXPECT_EQ(run_counted(copy, b, cm).walks, 3.0) << "copy of a warm plan";
   JigsawPlan moved = std::move(plan);
-  EXPECT_EQ(run_counted(moved, b, cm, off).walks, 3.0) << "moved-to plan";
+  EXPECT_EQ(run_counted(moved, b, cm).walks, 3.0) << "moved-to plan";
   moved = copy;
-  EXPECT_EQ(run_counted(moved, b, cm, off).walks, 3.0) << "assigned-to plan";
+  EXPECT_EQ(run_counted(moved, b, cm).walks, 3.0) << "assigned-to plan";
 }
 
 TEST_F(CandidateMemo, EvictsTheOldestChoiceWhenFull) {
@@ -393,9 +387,8 @@ TEST_F(CandidateMemo, EvictsTheOldestChoiceWhenFull) {
 TEST(JigsawKernel, ReportHasSaneStructure) {
   const auto a = vector_sparse(128, 256, 0.9, 4, 20);
   gpusim::CostModel cm;
-  const auto run = jigsaw_run(jigsaw_plan(a, {}), random_b(256, 64, 21), cm,
-                              {.compute_values = false});
-  const auto& r = run.report;
+  const auto sel = jigsaw_select(jigsaw_plan(a, {}), 64, cm);
+  const auto& r = sel.report;
   EXPECT_GT(r.duration_cycles, 0.0);
   EXPECT_GT(r.counters.sptc_macs, 0.0);
   EXPECT_EQ(r.counters.tc_fp16_macs, 0.0);  // Jigsaw uses only SpTC

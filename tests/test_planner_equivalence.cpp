@@ -69,12 +69,14 @@ DenseMatrix<fp16_t> matrix_for(const GoldenConfig& c) {
 ReorderOptions options_for(const GoldenConfig& c) {
   ReorderOptions opt;
   opt.tile.block_tile_m = c.bt;
-  if (c.filtered) {
-    opt.column_filter = [](std::size_t panel, std::uint32_t col) {
-      return (col + panel) % 3 != 0;
-    };
-  }
   return opt;
+}
+
+ColumnFilter filter_for(const GoldenConfig& c) {
+  if (!c.filtered) return {};
+  return [](std::size_t panel, std::uint32_t col) {
+    return (col + panel) % 3 != 0;
+  };
 }
 
 TEST(PlannerEquivalence, GoldenFingerprintsWithRescueDisabled) {
@@ -83,7 +85,7 @@ TEST(PlannerEquivalence, GoldenFingerprintsWithRescueDisabled) {
     const auto a = matrix_for(c);
     ReorderOptions opt = options_for(c);
     opt.rescue_attempts = 0;
-    const auto r = multi_granularity_reorder(a, opt);
+    const auto r = multi_granularity_reorder(a, opt, filter_for(c));
     EXPECT_EQ(plan_fingerprint(r), c.fingerprint)
         << c.m << "x" << c.k << " sp=" << c.sparsity_pct << " v=" << c.v
         << " bt=" << c.bt;
@@ -97,7 +99,8 @@ TEST(PlannerEquivalence, DefaultsMatchGoldenWhenRescueIsIdle) {
   // golden plan bit-for-bit.
   for (const GoldenConfig& c : golden_configs()) {
     if (c.old_failed) continue;
-    const auto r = multi_granularity_reorder(matrix_for(c), options_for(c));
+    const auto r =
+        multi_granularity_reorder(matrix_for(c), options_for(c), filter_for(c));
     EXPECT_EQ(plan_fingerprint(r), c.fingerprint);
   }
 }

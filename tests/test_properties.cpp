@@ -95,10 +95,9 @@ TEST_P(PipelineProperty, HybridMatchesReference) {
   const Config cfg = GetParam();
   const auto a = make_lhs(cfg);
   const auto b = make_rhs(cfg);
-  gpusim::CostModel cm;
-  const auto run =
-      core::hybrid_run(core::hybrid_plan(a.values(), {}), a.values(), b, cm);
-  EXPECT_TRUE(allclose(*run.c, reference_gemm(a.values(), b), a.cols()));
+  const auto c = core::hybrid_compute(
+      core::hybrid_plan(a.values(), {.block_tile = 16}), a.values(), b);
+  EXPECT_TRUE(allclose(c, reference_gemm(a.values(), b), a.cols()));
 }
 
 TEST_P(PipelineProperty, EveryBaselineMatchesReference) {

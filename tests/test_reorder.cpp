@@ -234,11 +234,10 @@ TEST(Reorder, ColumnFilterExcludesColumns) {
   // The hybrid extension's hook: filtered-out columns must be treated as
   // zero columns (not reordered, not stored), per panel.
   const auto a = vector_sparse(64, 128, 0.85, 4, 41);
-  ReorderOptions opts = with_block_tile(32);
-  opts.column_filter = [](std::size_t panel, std::uint32_t col) {
-    return (col + panel) % 2 == 0;  // drop alternating columns, per panel
-  };
-  const auto result = multi_granularity_reorder(a, opts);
+  const auto result = multi_granularity_reorder(
+      a, with_block_tile(32), [](std::size_t panel, std::uint32_t col) {
+        return (col + panel) % 2 == 0;  // drop alternating columns, per panel
+      });
   for (std::size_t p = 0; p < result.panels.size(); ++p) {
     for (const auto c : result.panels[p].col_idx) {
       EXPECT_EQ((c + p) % 2, 0u) << "panel " << p << " column " << c;
@@ -254,9 +253,8 @@ TEST(Reorder, ColumnFilterExcludesColumns) {
 
 TEST(Reorder, ColumnFilterAllExcludedYieldsEmptyPanels) {
   const auto a = vector_sparse(32, 64, 0.9, 2, 43);
-  ReorderOptions opts = with_block_tile(16);
-  opts.column_filter = [](std::size_t, std::uint32_t) { return false; };
-  const auto result = multi_granularity_reorder(a, opts);
+  const auto result = multi_granularity_reorder(
+      a, with_block_tile(16), [](std::size_t, std::uint32_t) { return false; });
   for (const auto& panel : result.panels) {
     EXPECT_TRUE(panel.col_idx.empty());
     EXPECT_TRUE(panel.tiles.empty());
