@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
@@ -382,6 +383,169 @@ TEST_F(CandidateMemo, EvictsTheOldestChoiceWhenFull) {
   before = cost_walks();
   (void)jigsaw_select(plan, 1, cm);
   EXPECT_EQ(cost_walks() - before, 3.0) << "n=1, the oldest, was evicted";
+}
+
+// ---------------------------------------------------------------------------
+// Golden products. The bitwise suites compare the kernel with itself (other
+// panel widths, layouts, routes, memo hits); these FNV-1a fingerprints of
+// the output float bits pin the products themselves, so a rewrite of the
+// execute path must reproduce every bit. Each fingerprint folds, in this
+// order: V0..V4 (every V4 BLOCK_TILE candidate), the naive then the
+// interleaved metadata layout of that candidate's reorder, N = 1, 32, 200,
+// then no epilogue and a bias+GELU epilogue, each output row-major.
+// The hashes are of x86-64 builds without FMA contraction (the tier-1 and
+// CI platform); a fused multiply-add or another libm tanh gives other
+// bits, so other targets skip.
+
+struct GoldenCase {
+  std::size_t m, k;
+  double sparsity;
+  std::size_t v;
+  std::uint64_t seed;
+  std::uint64_t fingerprint;
+};
+
+class ProductFingerprint {
+ public:
+  void add(const DenseMatrix<float>& c) {
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      // Which operand's NaN payload an add returns is the compiler's
+      // choice of operand order, not the kernel's; fold one NaN.
+      const float x = c.data()[i];
+      const auto bits =
+          std::isnan(x) ? 0x7fc00000u : std::bit_cast<std::uint32_t>(x);
+      for (int byte = 0; byte < 4; ++byte) {
+        hash_ ^= (bits >> (8 * byte)) & 0xffu;
+        hash_ *= 0x100000001b3ull;
+      }
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Folds every product of `a` described above; `rhs(k, n)` makes each B.
+template <typename MakeRhs>
+std::uint64_t product_fingerprint(const DenseMatrix<fp16_t>& a,
+                                  MakeRhs rhs) {
+  std::vector<float> bias(a.rows());
+  for (std::size_t r = 0; r < bias.size(); ++r) {
+    bias[r] = 0.125f * static_cast<float>(r % 7) - 0.375f;
+  }
+  const Epilogue epilogues[] = {
+      {}, {.activation = Epilogue::Activation::kGelu, .bias = &bias}};
+  std::vector<DenseMatrix<fp16_t>> bs;
+  for (const std::size_t n : {1u, 32u, 200u}) bs.push_back(rhs(a.cols(), n));
+
+  ProductFingerprint fp;
+  for (const auto version :
+       {KernelVersion::kV0, KernelVersion::kV1, KernelVersion::kV2,
+        KernelVersion::kV3, KernelVersion::kV4}) {
+    EngineOptions::Compile po;
+    po.version = version;
+    const JigsawPlan plan = jigsaw_plan(a, po);
+    for (std::size_t i = 0; i < plan.formats.size(); ++i) {
+      for (const auto layout :
+           {MetadataLayout::kNaive, MetadataLayout::kInterleaved}) {
+        const JigsawFormat f =
+            plan.formats[i].metadata_layout() == layout
+                ? plan.formats[i]
+                : JigsawFormat::build(a, plan.reorders[i], layout);
+        for (const auto& b : bs) {
+          for (const Epilogue& epilogue : epilogues) {
+            fp.add(jigsaw_compute(f, b, epilogue));
+          }
+        }
+      }
+    }
+  }
+  return fp.value();
+}
+
+bool golden_platform() {
+#if defined(__x86_64__) && !defined(__FMA__)
+  return true;
+#else
+  return false;
+#endif
+}
+
+TEST(JigsawKernel, ProductsMatchGoldenFingerprints) {
+  if (!golden_platform()) {
+    GTEST_SKIP() << "fingerprints are pinned for x86-64 without FMA";
+  }
+  // The ten shapes of the differential sweep, ragged ones included.
+  const GoldenCase cases[] = {
+      {64, 128, 0.70, 2, 11, 0x8a324f1ff4b5e1d5ull},
+      {64, 128, 0.70, 4, 12, 0xeffad7cd7f160175ull},
+      {64, 128, 0.80, 2, 21, 0x38ab7688506118e1ull},
+      {128, 256, 0.80, 4, 22, 0x53db1dcda3dada89ull},
+      {64, 128, 0.90, 8, 31, 0x3b69220e871f9805ull},
+      {128, 256, 0.90, 4, 32, 0x69af1abc36309555ull},
+      {64, 128, 0.95, 2, 41, 0xd6a131d5ea28d32dull},
+      {128, 256, 0.98, 8, 42, 0x7f9f387aa72309a1ull},
+      {56, 100, 0.85, 2, 51, 0xf7f38f34529325a1ull},
+      {100, 130, 0.92, 4, 52, 0x7949e6dee7aa9d69ull},
+  };
+  for (const GoldenCase& g : cases) {
+    const auto a = vector_sparse(g.m, g.k, g.sparsity, g.v, g.seed);
+    const std::uint64_t got =
+        product_fingerprint(a, [&](std::size_t k, std::size_t n) {
+          return random_b(k, n, g.seed * 1000 + n);
+        });
+    EXPECT_EQ(got, g.fingerprint)
+        << g.m << "x" << g.k << " sp=" << g.sparsity << " v=" << g.v
+        << " seed=" << g.seed << ": got 0x" << std::hex << got;
+  }
+
+  // Zero slots never touch B. Every fifth B row holds +-Inf and NaN, and
+  // A's columns there keep their nonzeros only in rows 0-15, so they stay
+  // live in the rest of a 32- or 64-row panel as zero slots. A also stores
+  // -0.0 in a third of its zeros. Any zero slot that read its B row would
+  // turn a finite product non-finite.
+  auto a = vector_sparse(64, 128, 0.8, 4, 61);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (j % 5 == 0 && r >= 16) a(r, j) = fp16_t{};
+      if (a(r, j).is_zero() && (r + j) % 3 == 0) {
+        a(r, j) = fp16_t::from_bits(0x8000);
+      }
+    }
+  }
+  const auto poisoned = [](std::size_t k, std::size_t n) {
+    auto b = random_b(k, n, 62);
+    const fp16_t specials[] = {fp16_t::from_bits(0x7c00),   // +Inf
+                               fp16_t::from_bits(0xfc00),   // -Inf
+                               fp16_t::from_bits(0x7e00)};  // NaN
+    for (std::size_t j = 0; j < k; j += 5) {
+      for (std::size_t c = 0; c < n; ++c) b(j, c) = specials[(j + c) % 3];
+    }
+    return b;
+  };
+  const auto b = poisoned(a.cols(), 32);
+  for (const auto version : {KernelVersion::kV0, KernelVersion::kV4}) {
+    EngineOptions::Compile po;
+    po.version = version;
+    for (const JigsawFormat& f : jigsaw_plan(a, po).formats) {
+      const auto c = jigsaw_compute(f, b);
+      for (std::size_t r = 0; r < c.rows(); ++r) {
+        bool reads_a_special_row = false;
+        for (std::size_t j = 0; j < a.cols(); j += 5) {
+          reads_a_special_row |= !a(r, j).is_zero();
+        }
+        for (std::size_t j = 0; j < c.cols(); ++j) {
+          ASSERT_EQ(std::isfinite(c(r, j)), !reads_a_special_row)
+              << "BLOCK_TILE " << f.tile_config().block_tile_m << " row "
+              << r << " col " << j;
+        }
+      }
+    }
+  }
+  const std::uint64_t special = product_fingerprint(a, poisoned);
+  EXPECT_EQ(special, 0xb53f706afed577b5ull)
+      << "signed zeros: got 0x" << std::hex << special;
 }
 
 TEST(JigsawKernel, ReportHasSaneStructure) {
