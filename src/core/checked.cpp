@@ -98,14 +98,20 @@ CheckedArtifact checked_compile(const DenseMatrix<fp16_t>& a,
     deg.note(os.str());
   }
 
-  // Re-run the reorder with the degraded panels' columns filtered out of
-  // the SpTC subset (same seed: untouched panels reorder identically).
-  // The engine validates the resulting format with the rest of the
-  // artifact.
-  plan.reorder = multi_granularity_reorder(
-      a, ropts, [&degraded](std::size_t panel, std::uint32_t) {
-        return !degraded[panel];
-      });
+  // The SpTC subset: the first-chance plan with the degraded panels
+  // re-planned under a filter that drops all their columns. The other
+  // panels keep their plan, which is what a filtered reorder of the whole
+  // matrix would give them (per-panel seeds). The engine validates the
+  // resulting format with the rest of the artifact.
+  std::vector<std::size_t> failed;
+  for (std::size_t p = 0; p < degraded.size(); ++p) {
+    if (degraded[p]) failed.push_back(p);
+  }
+  plan.reorder = first;
+  reorder_panels(a, ropts, failed, plan.reorder,
+                 [&degraded](std::size_t panel, std::uint32_t) {
+                   return !degraded[panel];
+                 });
   plan.format = JigsawFormat::build(a, plan.reorder);
   out.hybrid = std::move(plan);
   publish_degradation(deg);

@@ -161,7 +161,7 @@ DenseMatrix<float> jigsaw_compute(const JigsawFormat& format,
 /// `jigsaw.engine.submit.allocations` counter tracks.
 ///
 /// `panel_cols` selects the RHS column-panel width the row tiles are
-/// blocked over (0 picks the cache-sized default). Output columns are
+/// blocked over (0 picks the widest, 256). Output columns are
 /// independent sums, so every width yields bit-identical results; the
 /// knob exists for cache tuning and for the differential tests that pin
 /// the invariance down.

@@ -510,7 +510,8 @@ ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
 void reorder_panels(const DenseMatrix<fp16_t>& a,
                     const ReorderOptions& options,
                     std::span<const std::size_t> panels,
-                    ReorderResult& result) {
+                    ReorderResult& result,
+                    const ColumnFilter& column_filter) {
   JIGSAW_TRACE_SCOPE("reorder", "reorder.panel_replan");
   const auto t_start = Clock::now();
   options.tile.validate();
@@ -545,8 +546,9 @@ void reorder_panels(const DenseMatrix<fp16_t>& a,
       [&](std::int64_t i) {
         const std::size_t p = panels[static_cast<std::size_t>(i)];
         PlanStats local;
-        result.panels[p] = plan_panel_at(csr, a.rows(), a.cols(), options, {},
-                                         p, row_slices, limit, cache, local);
+        result.panels[p] =
+            plan_panel_at(csr, a.rows(), a.cols(), options, column_filter, p,
+                          row_slices, limit, cache, local);
         std::lock_guard<std::mutex> lock(stats_mu);
         total.merge(local);
       },

@@ -188,11 +188,15 @@ ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
 /// multi_granularity_reorder(a, options) — provided every panel whose rows
 /// changed is listed and `options` matches the original plan's options.
 /// Stats of the re-planned panels are merged into result.stats (timings
-/// accumulate across generations; the fingerprint ignores stats).
+/// accumulate across generations; the fingerprint ignores stats). A
+/// `column_filter` applies to the re-planned panels only, so re-planning
+/// exactly the panels it changes reproduces
+/// multi_granularity_reorder(a, options, column_filter).
 void reorder_panels(const DenseMatrix<fp16_t>& a,
                     const ReorderOptions& options,
                     std::span<const std::size_t> panels,
-                    ReorderResult& result);
+                    ReorderResult& result,
+                    const ColumnFilter& column_filter = {});
 
 /// Extracts the nonzero row-mask of each of the 16 columns of a tile for
 /// one 16-row slice. Exposed for tests.

@@ -126,10 +126,14 @@ std::uint64_t options_content_hash(const EngineOptions& options,
   // read-only artifact other callers keep hitting.
   fnv_mix(h, static_cast<std::uint64_t>(c.updatable));
   // Every plan-affecting reorder knob. Deliberately excluded: max_threads
-  // (plans are thread-count invariant) and tile (every route overwrites
-  // it with block_tile or the kRaw V4 candidates).
+  // (plans are thread-count invariant), tile (every route overwrites it
+  // with block_tile or the kRaw V4 candidates) and, under kRaw,
+  // bank_conflict_aware (jigsaw_plan sets it from the version, which is
+  // already keyed; kChecked and kHybrid read the caller's value).
   const core::ReorderOptions& r = c.reorder;
-  fnv_mix(h, static_cast<std::uint64_t>(r.search.bank_conflict_aware));
+  if (resolved_policy != ExecutionPolicy::kRaw) {
+    fnv_mix(h, static_cast<std::uint64_t>(r.search.bank_conflict_aware));
+  }
   fnv_mix(h, static_cast<std::uint64_t>(r.search.greedy_attempts));
   fnv_mix(h, r.search.max_pair_iterations);
   fnv_mix(h, r.search.conflict_free_search_budget);

@@ -166,6 +166,25 @@ TEST(EngineCache, ReorderTileDoesNotSplitTheCache) {
   EXPECT_EQ(engine.cache_stats().entries, 1u);
 }
 
+TEST(EngineCache, RawBankConflictFlagDoesNotSplitTheCache) {
+  // jigsaw_plan sets reorder.search.bank_conflict_aware from the kernel
+  // version, so two kRaw compiles that differ only in the caller's flag
+  // are the same artifact.
+  Engine engine;
+  const auto a = dlmc::make_lhs({256, 256}, 0.8, 4, 7).values();
+  EngineOptions options;
+  options.policy = ExecutionPolicy::kRaw;
+  options.compile.version = core::KernelVersion::kV4;
+  auto first = engine.compile(a, options);
+  options.compile.reorder.search.bank_conflict_aware =
+      !options.compile.reorder.search.bank_conflict_aware;
+  auto second = engine.compile(a, options);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  ASSERT_TRUE(second.ok()) << second.status().to_string();
+  EXPECT_EQ(first.value().get(), second.value().get());
+  EXPECT_EQ(engine.cache_stats().entries, 1u);
+}
+
 // ---- Eviction and the byte bound ------------------------------------------
 
 TEST(EngineCache, EvictionHonorsTheCapacityBound) {
@@ -356,6 +375,49 @@ TEST(CheckedRun, ReorderFailureDegradesToHybridAndStaysExact) {
   // ...and the product is exact despite the panel leaving the SpTC path.
   const DenseMatrix<float> c = core::hybrid_compute(*art.hybrid, a, b);
   EXPECT_TRUE(allclose(c, reference_gemm(a, b), a.cols()));
+}
+
+TEST(CheckedRun, DegradedCompileReordersOnce) {
+  // A degraded compile re-plans only its failed panels, under the filter
+  // that drops their columns. The reference is the two-pass result: a
+  // filtered reorder of the whole matrix.
+  const auto a = adversarial_matrix();
+  EngineOptions options;
+  options.compile.block_tile = 16;
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  Engine engine;
+  auto compiled = engine.compile(a, options);
+  obs::set_metrics_enabled(false);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  EXPECT_EQ(counter_value("reorder.plans"), 1.0);
+
+  const CompiledMatrix& handle = *compiled.value();
+  ASSERT_TRUE(handle.hybrid.has_value());
+  core::ReorderOptions ropts;
+  ropts.tile.block_tile_m = 16;
+  std::vector<bool> degraded;
+  for (const core::PanelReorder& panel :
+       core::multi_granularity_reorder(a, ropts).panels) {
+    degraded.push_back(core::panel_failed(panel, a.cols()));
+  }
+  const core::ReorderResult two_pass = core::multi_granularity_reorder(
+      a, ropts, [&degraded](std::size_t panel, std::uint32_t) {
+        return !degraded[panel];
+      });
+  EXPECT_EQ(core::plan_fingerprint(handle.hybrid->reorder),
+            core::plan_fingerprint(two_pass));
+  const core::JigsawFormat reference =
+      core::JigsawFormat::build(a, two_pass);
+  const core::JigsawFormat& format = handle.hybrid->format;
+  EXPECT_EQ(format.panels().size(), reference.panels().size());
+  EXPECT_EQ(format.col_idx_array(), reference.col_idx_array());
+  EXPECT_EQ(format.block_col_idx_array(), reference.block_col_idx_array());
+  EXPECT_EQ(format.metadata(), reference.metadata());
+  ASSERT_EQ(format.values().size(), reference.values().size());
+  for (std::size_t i = 0; i < format.values().size(); ++i) {
+    ASSERT_EQ(format.values()[i].bits(), reference.values()[i].bits()) << i;
+  }
 }
 
 TEST(EnginePolicy, CleanMatrixBuildsOneFormatAndStaysUndegraded) {
