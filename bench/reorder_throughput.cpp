@@ -37,7 +37,6 @@ void bench_reorder(benchmark::State& state) {
                           static_cast<std::int64_t>(shape.m * shape.k));
   state.counters["success"] = success ? 1.0 : 0.0;
   state.counters["evictions"] = static_cast<double>(last.evictions);
-  state.counters["cache_hit_rate"] = last.cache_hit_rate();
   state.counters["rescued"] = static_cast<double>(last.rescued_panels);
 }
 

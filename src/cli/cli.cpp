@@ -166,8 +166,7 @@ int cmd_info(const Args& args, std::ostream& out) {
         << s.mask_seconds * 1e3 << " mask / " << s.search_seconds * 1e3
         << " search), " << s.tile_searches << " searches, "
         << s.identity_tiles << " identity, " << s.fresh_enumerations
-        << " enumerations, cache hit rate " << s.cache_hit_rate() * 100
-        << "%, " << s.incremental_updates << " incremental updates\n";
+        << " enumerations\n";
     if (r.failed_panels() > 0 || s.rescued_panels > 0) {
       out << "  failures: " << r.failed_panels() << " panel(s) over K ("
           << r.failure_count(core::PanelFailure::kInfeasibleRow)

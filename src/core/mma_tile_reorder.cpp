@@ -13,6 +13,15 @@ namespace {
 
 constexpr std::uint16_t kFullSet = 0xffffu;
 
+/// Randomized greedy exact-cover tries before the exhaustive pair search.
+constexpr int kGreedyAttempts = 40;
+/// Iteration budget of the exhaustive eight-column-group construction;
+/// bounds worst-case tiles without affecting the common cases.
+constexpr std::uint64_t kMaxPairIterations = 150000;
+/// Extra budget spent looking for a conflict-free scheme after a valid but
+/// conflicting one was found.
+constexpr std::uint64_t kConflictFreeSearchBudget = 6000;
+
 /// A candidate solution: four pairwise-disjoint quads covering the tile.
 struct QuadCover {
   std::array<MmaTileQuad, 4> quads;
@@ -153,7 +162,7 @@ struct SearchScratch {
   OctetTable octets;
   std::vector<std::uint64_t> greedy_candidates;  // bitset over quad indices
   std::vector<std::uint16_t> sets;  // contiguous copy of quad sets
-  MmaTileQuadList quads;            // storage for the plain entry point
+  MmaTileQuadList quads;            // the current tile's compatible quads
   /// Quad-index bitsets shared by the greedy and pair phases: row p marks
   /// the quads that contain position p (16 rows of `words` words each).
   std::vector<std::uint64_t> pos_bits;
@@ -296,15 +305,14 @@ MmaTilePermutation two_per_group_permutation(int real_columns) {
   return p;
 }
 
-MmaTileSearchResult reorder_mma_tile_ex(
-    std::span<const std::uint16_t> col_masks, int real_columns,
-    const MmaTileSearchOptions& options, Rng& rng, MmaTileSearchIO& io) {
+MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
+                                     int real_columns,
+                                     const MmaTileSearchOptions& options,
+                                     Rng& rng, MmaTileSearchStats* stats) {
   JIGSAW_CHECK(col_masks.size() == kMmaTile);
   JIGSAW_CHECK(real_columns >= 0 && real_columns <= kMmaTile);
-  JIGSAW_CHECK(io.quads != nullptr);
   MmaTileSearchResult result;
-  io.enumerated_fresh = false;
-  if (io.stats) ++io.stats->searches;
+  if (stats) ++stats->searches;
 
   // Fast path: the tile already satisfies 2:4 in its current order.
   if (tile_satisfies_two_four(col_masks)) {
@@ -313,7 +321,7 @@ MmaTileSearchResult reorder_mma_tile_ex(
     p.is_identity = true;
     p.bank_conflict_free = true;  // positions 0..7 span all residues
     result.permutation = p;
-    if (io.stats) ++io.stats->identity_hits;
+    if (stats) ++stats->identity_hits;
     return result;
   }
 
@@ -338,29 +346,25 @@ MmaTileSearchResult reorder_mma_tile_ex(
     }
     result.evict_position = victim;
     result.infeasible_row = true;
-    if (io.stats) ++io.stats->infeasible_rows;
+    if (stats) ++stats->infeasible_rows;
     return result;
   }
 
-  // Lines 2-8 of Algorithm 1: the compatible four-column groups. The list
-  // is a pure function of the masks, so an incrementally-maintained or
-  // memoized copy (io.quads_ready / io.provider) substitutes bit-exactly.
-  MmaTileQuadList& quads = *io.quads;
-  if (!io.quads_ready) {
-    if (!(io.provider && io.provider(col_masks, quads))) {
-      enumerate_compatible_quads(col_masks, quads);
-      io.enumerated_fresh = true;
-      if (io.stats) {
-        ++io.stats->fresh_enumerations;
-        io.stats->quads_enumerated += quads.size();
-      }
-      // Fresh enumerations are rare once the memo cache warms up, so a
-      // histogram observation here stays off the hot path.
-      obs::observe("reorder.quads_per_enumeration",
-                   static_cast<double>(quads.size()));
-    }
-    io.quads_ready = true;
+  // Lines 2-8 of Algorithm 1: the compatible four-column groups.
+  SearchScratch& sc = scratch();
+  MmaTileQuadList& quads = sc.quads;
+  enumerate_compatible_quads(col_masks, quads);
+  if (stats) {
+    ++stats->fresh_enumerations;
+    stats->quads_enumerated += quads.size();
   }
+  // Every search that gets here enumerates (about 1,400 per 4096x1024,
+  // 90%-sparse weight at BLOCK_TILE 64), so the histogram is looked up
+  // once: a lookup by name takes the registry mutex the panel workers
+  // share.
+  static obs::Histogram& quads_per_enumeration =
+      obs::histogram("reorder.quads_per_enumeration");
+  quads_per_enumeration.observe(static_cast<double>(quads.size()));
   result.compatible_quads = static_cast<std::uint32_t>(quads.size());
 
   std::array<std::uint32_t, kMmaTile> freq{};
@@ -384,7 +388,6 @@ MmaTileSearchResult reorder_mma_tile_ex(
     }
   }
 
-  SearchScratch& sc = scratch();
   std::optional<MmaTilePermutation> fallback;
   const std::uint32_t n = static_cast<std::uint32_t>(quads.size());
   sc.sets.resize(n);
@@ -402,8 +405,8 @@ MmaTileSearchResult reorder_mma_tile_ex(
 
   // Randomized greedy exact-cover attempts (cheap; succeeds with high
   // probability whenever compatible groups are plentiful).
-  for (int attempt = 0; attempt < options.greedy_attempts; ++attempt) {
-    if (io.stats) ++io.stats->greedy_attempts;
+  for (int attempt = 0; attempt < kGreedyAttempts; ++attempt) {
+    if (stats) ++stats->greedy_attempts;
     if (auto cover =
             greedy_cover(quads, pos_bits, words, rng, sc.greedy_candidates)) {
       MmaTilePermutation p = best_pairing(*cover, real_columns);
@@ -435,7 +438,7 @@ MmaTileSearchResult reorder_mma_tile_ex(
   std::uint64_t* const conflict = sc.conflict.data();
 
   std::uint64_t iterations = 0;
-  std::uint64_t budget = options.max_pair_iterations;
+  std::uint64_t budget = kMaxPairIterations;
   for (std::uint32_t i = 0; i < n && iterations < budget; ++i) {
     const std::uint16_t si = sets[i];
     const std::uint64_t base = iterations;
@@ -477,7 +480,7 @@ MmaTileSearchResult reorder_mma_tile_ex(
           QuadCover cover{{quads[pi], quads[pj], quads[i], quads[j]}};
           MmaTilePermutation p = best_pairing(cover, real_columns);
           if (p.bank_conflict_free || !options.bank_conflict_aware) {
-            if (io.stats) io.stats->pair_iterations += ord;
+            if (stats) stats->pair_iterations += ord;
             result.permutation = p;
             return result;
           }
@@ -485,8 +488,7 @@ MmaTileSearchResult reorder_mma_tile_ex(
             fallback = p;
             // Keep looking for a conflict-free scheme, but with a tighter
             // budget now that correctness is already assured.
-            budget =
-                std::min(budget, ord + options.conflict_free_search_budget);
+            budget = std::min(budget, ord + kConflictFreeSearchBudget);
           }
         }
         std::uint64_t& sw = seen[octet >> 6];
@@ -498,7 +500,7 @@ MmaTileSearchResult reorder_mma_tile_ex(
     }
     iterations = std::min(base + rem, budget);
   }
-  if (io.stats) io.stats->pair_iterations += iterations;
+  if (stats) stats->pair_iterations += iterations;
 
   if (fallback) {
     result.permutation = *fallback;
@@ -506,15 +508,6 @@ MmaTileSearchResult reorder_mma_tile_ex(
   }
   result.evict_position = least_frequent_real();
   return result;
-}
-
-MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
-                                     int real_columns,
-                                     const MmaTileSearchOptions& options,
-                                     Rng& rng) {
-  MmaTileSearchIO io;
-  io.quads = &scratch().quads;
-  return reorder_mma_tile_ex(col_masks, real_columns, options, rng, io);
 }
 
 }  // namespace jigsaw::core

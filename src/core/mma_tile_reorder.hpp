@@ -18,17 +18,14 @@
 // whose eight-column groups span all eight shared-memory bank residues are
 // preferred, implementing the conflict-aware selection of §3.4.1.
 //
-// The extended entry point reorder_mma_tile_ex lets the planner share the
-// quad enumeration across retries and matrices (incremental reorder-retry
-// and the tile-search memo cache): the quad list is a deterministic,
-// rng-free function of the masks, so substituting a precomputed copy is
-// bit-exact, while the greedy/pair phases always run so the per-panel rng
-// stream advances exactly as in a from-scratch search.
+// Every search that gets past the two fast paths enumerates its quads
+// afresh into thread-local scratch. The enumeration is a pruned loop over
+// 16-bit row masks, cheaper than any lookup that would replay a stored
+// list; only the greedy and pair phases consume the rng.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -49,16 +46,10 @@ struct MmaTilePermutation {
   bool bank_conflict_free = false;
 };
 
-/// Tuning knobs of the tile search.
+/// Tuning knob of the tile search: prefer bank-conflict-free schemes
+/// (§3.4.1). The search budgets are fixed constants in the .cpp.
 struct MmaTileSearchOptions {
   bool bank_conflict_aware = true;
-  int greedy_attempts = 40;
-  /// Iteration budget of the exhaustive eight-column-group construction;
-  /// bounds worst-case tiles without affecting the common cases.
-  std::uint64_t max_pair_iterations = 150000;
-  /// Extra budget spent looking for a conflict-free scheme after a valid
-  /// but conflicting one was found.
-  std::uint64_t conflict_free_search_budget = 6000;
 };
 
 /// Outcome of one tile search.
@@ -87,7 +78,7 @@ struct MmaTileQuad {
 /// lexicographic (i,j,k,w) position tuples).
 using MmaTileQuadList = std::vector<MmaTileQuad>;
 
-/// Aggregate counters of the search phases (filled by reorder_mma_tile_ex
+/// Aggregate counters of the search phases (filled by reorder_mma_tile
 /// when a stats sink is provided; all counters are cumulative adds).
 struct MmaTileSearchStats {
   std::uint64_t searches = 0;
@@ -99,54 +90,26 @@ struct MmaTileSearchStats {
   std::uint64_t pair_iterations = 0;
 };
 
-/// In/out channel of reorder_mma_tile_ex.
-struct MmaTileSearchIO {
-  /// Quad list storage. When `quads_ready` is true on entry, `*quads` must
-  /// hold exactly what enumerate_compatible_quads would produce for the
-  /// masks (e.g. maintained incrementally across an eviction); the search
-  /// then skips the enumeration. When false, the search fills `*quads`
-  /// (via `provider` or a fresh enumeration) and sets `quads_ready` if the
-  /// search reached the enumeration phase at all.
-  MmaTileQuadList* quads = nullptr;
-  bool quads_ready = false;
-  /// Optional external source of the quad list (the memo cache). Called at
-  /// most once, only when the search needs quads and `quads_ready` was
-  /// false; must either fill the list exactly as
-  /// enumerate_compatible_quads would and return true, or return false.
-  std::function<bool(std::span<const std::uint16_t>, MmaTileQuadList&)>
-      provider;
-  /// Set by the search when it ran a fresh enumeration (so the caller can
-  /// publish the list to the memo cache). False on provider/incremental
-  /// supplied lists and on early-out paths.
-  bool enumerated_fresh = false;
-  MmaTileSearchStats* stats = nullptr;
-};
-
 /// Checks whether four column masks form a compatible column group: no row
 /// with three or more nonzeros across the four columns.
 bool quad_compatible(std::uint16_t a, std::uint16_t b, std::uint16_t c,
                      std::uint16_t d);
 
 /// Enumerates every compatible four-column group of the tile in ascending
-/// lexicographic position order — the canonical quad list all search paths
-/// agree on. Clears `out` first.
+/// lexicographic position order. Clears `out` first.
 void enumerate_compatible_quads(std::span<const std::uint16_t> col_masks,
                                 MmaTileQuadList& out);
 
 /// Runs Algorithm 1 on one slice. `col_masks` holds exactly 16 entries
 /// (bit r = nonzero in row r); virtual padding columns must be 0.
 /// `real_columns` is the number of leading entries that are real (used by
-/// the bank-conflict preference and the eviction hint).
+/// the bank-conflict preference and the eviction hint). Phase counters are
+/// added to `*stats` when it is given.
 MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
                                      int real_columns,
                                      const MmaTileSearchOptions& options,
-                                     Rng& rng);
-
-/// Extended form: identical decisions and rng consumption as
-/// reorder_mma_tile, plus quad-list reuse and phase counters via `io`.
-MmaTileSearchResult reorder_mma_tile_ex(
-    std::span<const std::uint16_t> col_masks, int real_columns,
-    const MmaTileSearchOptions& options, Rng& rng, MmaTileSearchIO& io);
+                                     Rng& rng,
+                                     MmaTileSearchStats* stats = nullptr);
 
 /// Builds the guaranteed-success permutation that places at most two real
 /// columns in each four-column group (used by the tail-splitting fallback;

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "core/tile_search_cache.hpp"
 #include "matrix/csr.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -52,104 +51,6 @@ void build_panel_masks(const CsrMatrix& csr, std::size_t row_begin,
   }
 }
 
-/// One reorder-retry eviction, as seen by the incremental quad maintenance:
-/// the evicted window position and the 16 columns of the window after the
-/// move (the next panel column slid in at position 15).
-struct EvictEvent {
-  int pos = 0;
-  std::array<std::uint32_t, kMmaTile> cols_after{};
-};
-
-/// Per-slice incrementally-maintained quad list. `version` is the number of
-/// eviction events already folded in (== index into the window's event
-/// log); `valid` is false until the slice's first enumeration.
-struct SliceState {
-  MmaTileQuadList quads;
-  bool valid = false;
-  std::size_t version = 0;
-};
-
-/// How many pending eviction events are worth applying incrementally; one
-/// event costs a drop/remap pass plus C(15,3) triple checks, so beyond a
-/// few events a fresh C(16,4) enumeration is cheaper.
-constexpr std::size_t kMaxPendingEvents = 3;
-
-bool pos_less(const MmaTileQuad& a, const MmaTileQuad& b) {
-  return a.pos < b.pos;
-}
-
-/// Folds one eviction event into a quad list: drops the quads that used the
-/// evicted position, remaps the survivors (monotone position shift keeps
-/// them sorted), enumerates the quads gained through the incoming column at
-/// position 15, and merges. The result is bit-identical to re-enumerating
-/// the new window from scratch.
-void apply_evict_event(MmaTileQuadList& quads, const EvictEvent& ev,
-                       const PanelMasks& pm, int slice,
-                       MmaTileQuadList& scratch_new,
-                       MmaTileQuadList& scratch_merged) {
-  const int e = ev.pos;
-  const std::uint16_t drop_bit = static_cast<std::uint16_t>(1u << e);
-  const std::uint16_t low = static_cast<std::uint16_t>(drop_bit - 1);
-
-  std::size_t w = 0;
-  for (MmaTileQuad q : quads) {
-    if (q.set & drop_bit) continue;
-    q.set = static_cast<std::uint16_t>((q.set & low) |
-                                       ((q.set >> 1) & ~low));
-    for (std::uint8_t& p : q.pos) {
-      p = static_cast<std::uint8_t>(p - (p > e ? 1 : 0));
-    }
-    quads[w++] = q;
-  }
-  quads.resize(w);
-
-  std::array<std::uint16_t, kMmaTile> m{};
-  for (int j = 0; j < kMmaTile; ++j) {
-    m[static_cast<std::size_t>(j)] = pm.mask(
-        ev.cols_after[static_cast<std::size_t>(j)], slice);
-  }
-  const std::uint16_t m15 = m[kMmaTile - 1];
-
-  // All compatible quads containing the new position 15, in ascending
-  // (i, j, k, 15) order. Carry-save accumulation mirrors quad_compatible;
-  // a row that reaches three nonzeros early prunes the deeper loops.
-  scratch_new.clear();
-  for (int i = 0; i < kMmaTile - 1; ++i) {
-    const std::uint16_t mi = m[static_cast<std::size_t>(i)];
-    const std::uint16_t ones2 = static_cast<std::uint16_t>(m15 ^ mi);
-    const std::uint16_t twos2 = static_cast<std::uint16_t>(m15 & mi);
-    for (int j = i + 1; j < kMmaTile - 1; ++j) {
-      const std::uint16_t mj = m[static_cast<std::size_t>(j)];
-      const std::uint16_t carry3 = static_cast<std::uint16_t>(ones2 & mj);
-      if (twos2 & carry3) continue;
-      const std::uint16_t ones3 = static_cast<std::uint16_t>(ones2 ^ mj);
-      const std::uint16_t twos3 = static_cast<std::uint16_t>(twos2 ^ carry3);
-      if (ones3 & twos3) continue;
-      for (int k = j + 1; k < kMmaTile - 1; ++k) {
-        const std::uint16_t mk = m[static_cast<std::size_t>(k)];
-        const std::uint16_t carry4 = static_cast<std::uint16_t>(ones3 & mk);
-        if ((twos3 & carry4) |
-            (static_cast<std::uint16_t>(ones3 ^ mk) &
-             static_cast<std::uint16_t>(twos3 ^ carry4))) {
-          continue;
-        }
-        MmaTileQuad q;
-        q.set = static_cast<std::uint16_t>((1u << i) | (1u << j) | (1u << k) |
-                                           (1u << (kMmaTile - 1)));
-        q.pos = {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j),
-                 static_cast<std::uint8_t>(k),
-                 static_cast<std::uint8_t>(kMmaTile - 1)};
-        scratch_new.push_back(q);
-      }
-    }
-  }
-
-  scratch_merged.resize(quads.size() + scratch_new.size());
-  std::merge(quads.begin(), quads.end(), scratch_new.begin(),
-             scratch_new.end(), scratch_merged.begin(), pos_less);
-  quads.swap(scratch_merged);
-}
-
 void fold_search_stats(PlanStats& stats, const MmaTileSearchStats& s) {
   stats.tile_searches += s.searches;
   stats.identity_tiles += s.identity_hits;
@@ -162,20 +63,16 @@ void fold_search_stats(PlanStats& stats, const MmaTileSearchStats& s) {
 
 /// Plans one panel over an explicit initial column order. Bit-identical to
 /// the pre-fast-path planner for the ascending live order: the rng stream,
-/// eviction decisions, and emitted permutations are byte-for-byte the same;
-/// only how the quad lists are obtained differs.
+/// eviction decisions, and emitted permutations are byte-for-byte the same.
 PanelReorder plan_panel(const PanelMasks& pm, std::size_t total_cols,
                         std::vector<std::uint32_t> order, int row_slices,
                         const ReorderOptions& options, Rng rng,
-                        PlanStats& stats, TileSearchCache* cache) {
+                        PlanStats& stats) {
   PanelReorder panel;
   panel.col_idx = std::move(order);
   panel.zero_columns =
       static_cast<std::uint32_t>(total_cols - panel.col_idx.size());
 
-  std::vector<SliceState> slice_state(static_cast<std::size_t>(row_slices));
-  std::vector<EvictEvent> events;  // the current window's eviction log
-  MmaTileQuadList scratch_new, scratch_merged;
   MmaTileSearchStats search_stats;
 
   std::size_t i = 0;
@@ -183,8 +80,6 @@ PanelReorder plan_panel(const PanelMasks& pm, std::size_t total_cols,
     std::uint32_t count = static_cast<std::uint32_t>(
         std::min<std::size_t>(kMmaTile, panel.col_idx.size() - i));
     int evictions_this_tile = 0;
-    for (SliceState& st : slice_state) st.valid = false;
-    events.clear();
 
     for (;;) {
       // Attempt Algorithm 1 on every 16-row slice of the panel for the
@@ -198,47 +93,9 @@ PanelReorder plan_panel(const PanelMasks& pm, std::size_t total_cols,
         for (std::uint32_t j = 0; j < count; ++j) {
           masks[j] = pm.mask(panel.col_idx[i + j], s);
         }
-        SliceState& st = slice_state[static_cast<std::size_t>(s)];
-        MmaTileSearchIO io;
-        io.quads = &st.quads;
-        io.stats = &search_stats;
-        // The quad list is produced lazily, only if the search gets past
-        // its identity/infeasibility fast paths: first from the slice's
-        // incrementally-maintained list, then from the memo cache.
-        io.provider = [&](std::span<const std::uint16_t> ms,
-                          MmaTileQuadList& out) -> bool {
-          if (options.use_incremental_retry && st.valid) {
-            const std::size_t pending = events.size() - st.version;
-            if (pending <= kMaxPendingEvents) {
-              for (std::size_t e = st.version; e < events.size(); ++e) {
-                apply_evict_event(out, events[e], pm, s, scratch_new,
-                                  scratch_merged);
-                ++stats.incremental_updates;
-              }
-              st.version = events.size();
-              return true;
-            }
-            st.valid = false;
-          }
-          if (cache != nullptr) {
-            ++stats.cache_lookups;
-            if (cache->lookup(ms, out) != TileCacheHit::kMiss) {
-              ++stats.cache_hits;
-              return true;
-            }
-          }
-          return false;
-        };
         const MmaTileSearchResult res =
-            reorder_mma_tile_ex(masks, static_cast<int>(count), options.search,
-                                rng, io);
-        if (io.quads_ready && options.use_incremental_retry) {
-          st.valid = true;
-          st.version = events.size();
-        }
-        if (io.enumerated_fresh && cache != nullptr) {
-          cache->publish(masks, st.quads);
-        }
+            reorder_mma_tile(masks, static_cast<int>(count), options.search,
+                             rng, &search_stats);
         if (!res.permutation) {
           evict_position = res.evict_position;
           infeasible = res.infeasible_row;
@@ -273,12 +130,6 @@ PanelReorder plan_panel(const PanelMasks& pm, std::size_t total_cols,
         ++evictions_this_tile;
         count = static_cast<std::uint32_t>(
             std::min<std::size_t>(kMmaTile, panel.col_idx.size() - i));
-        EvictEvent ev;
-        ev.pos = evict_position;
-        for (std::uint32_t j = 0; j < kMmaTile; ++j) {
-          ev.cols_after[j] = panel.col_idx[i + j];
-        }
-        events.push_back(ev);
         continue;
       }
 
@@ -329,12 +180,6 @@ void publish_plan_stats(const PlanStats& s) {
            static_cast<double>(s.fresh_enumerations));
   obs::add("reorder.quads_enumerated",
            static_cast<double>(s.quads_enumerated));
-  obs::add("reorder.incremental_updates",
-           static_cast<double>(s.incremental_updates));
-  obs::add("reorder.cache_lookups", static_cast<double>(s.cache_lookups));
-  obs::add("reorder.cache_hits", static_cast<double>(s.cache_hits));
-  obs::add("reorder.cache_misses",
-           static_cast<double>(s.cache_lookups - s.cache_hits));
   obs::add("reorder.greedy_attempts",
            static_cast<double>(s.greedy_attempts));
   obs::add("reorder.pair_iterations",
@@ -383,7 +228,7 @@ PanelReorder plan_panel_at(const CsrMatrix& csr, std::size_t rows,
                            const ReorderOptions& options,
                            const ColumnFilter& column_filter, std::size_t p,
                            int row_slices, std::uint32_t limit,
-                           TileSearchCache* cache, PlanStats& local) {
+                           PlanStats& local) {
   JIGSAW_TRACE_SCOPE("reorder", "reorder.panel");
   const std::size_t bt = static_cast<std::size_t>(options.tile.block_tile_m);
   const std::size_t row_begin = p * bt;
@@ -408,7 +253,7 @@ PanelReorder plan_panel_at(const CsrMatrix& csr, std::size_t rows,
   const auto t_search = Clock::now();
   PanelReorder panel =
       plan_panel(pm, total_cols, live, row_slices, options,
-                 Rng(mix_seed(options.seed, p)), local, cache);
+                 Rng(mix_seed(options.seed, p)), local);
 
   if (panel.padded_cols() > limit && options.rescue_attempts > 0 &&
       !live.empty()) {
@@ -429,7 +274,7 @@ PanelReorder plan_panel_at(const CsrMatrix& csr, std::size_t rows,
           plan_panel(pm, total_cols, std::move(order), row_slices, options,
                      Rng(mix_seed(options.seed, p, 0x5E5Cull,
                                   static_cast<std::uint64_t>(attempt))),
-                     local, cache);
+                     local);
       ++local.rescue_attempts_run;
       if (cand.padded_cols() > limit) continue;
       if (!cand.used_split_fallback) {
@@ -480,8 +325,6 @@ ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
   const std::size_t num_panels = (a.rows() + bt - 1) / bt;
   result.panels.resize(num_panels);
 
-  TileSearchCache* const cache =
-      options.use_memo_cache ? &TileSearchCache::instance() : nullptr;
   const std::uint32_t limit =
       static_cast<std::uint32_t>(round_up(a.cols(), kMmaTile));
 
@@ -495,7 +338,7 @@ ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
         PlanStats local;
         result.panels[p] =
             plan_panel_at(csr, a.rows(), a.cols(), options, column_filter, p,
-                          row_slices, limit, cache, local);
+                          row_slices, limit, local);
         std::lock_guard<std::mutex> lock(stats_mu);
         total.merge(local);
       },
@@ -533,8 +376,6 @@ void reorder_panels(const DenseMatrix<fp16_t>& a,
   if (panels.empty()) return;
 
   const CsrMatrix csr = CsrMatrix::from_dense(a);
-  TileSearchCache* const cache =
-      options.use_memo_cache ? &TileSearchCache::instance() : nullptr;
   const std::uint32_t limit =
       static_cast<std::uint32_t>(round_up(a.cols(), kMmaTile));
 
@@ -548,7 +389,7 @@ void reorder_panels(const DenseMatrix<fp16_t>& a,
         PlanStats local;
         result.panels[p] =
             plan_panel_at(csr, a.rows(), a.cols(), options, column_filter, p,
-                          row_slices, limit, cache, local);
+                          row_slices, limit, local);
         std::lock_guard<std::mutex> lock(stats_mu);
         total.merge(local);
       },
@@ -570,9 +411,6 @@ void PlanStats::merge(const PlanStats& other) {
   infeasible_rows += other.infeasible_rows;
   fresh_enumerations += other.fresh_enumerations;
   quads_enumerated += other.quads_enumerated;
-  incremental_updates += other.incremental_updates;
-  cache_lookups += other.cache_lookups;
-  cache_hits += other.cache_hits;
   greedy_attempts += other.greedy_attempts;
   pair_iterations += other.pair_iterations;
   evictions += other.evictions;

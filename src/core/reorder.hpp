@@ -17,11 +17,9 @@
 //
 // Planner fast path: per-panel column bitmasks are extracted once from a
 // CSR pass (instead of rescanning the dense array per window and retry),
-// the reorder-retry maintains the quad enumeration incrementally across
-// evictions, and repeated tile patterns reuse their enumeration through the
-// two-level memo cache (core/tile_search_cache.hpp). All of it is bit-exact
-// with a from-scratch plan for a fixed seed; the feature toggles below
-// exist so the equivalence tests can prove that.
+// and every tile search enumerates its quads from those masks. Nothing is
+// memoized across tile searches or plans; for a fixed seed the plans are
+// bit-identical to the pre-fast-path planner's.
 #pragma once
 
 #include <array>
@@ -43,12 +41,6 @@ struct ReorderOptions {
   int eviction_limit_per_tile = 64;  ///< retries before tail splitting
   std::uint64_t seed = 0x517cc1b727220a95ull;  ///< greedy-shuffle seed
 
-  /// Reuse quad enumerations of repeated tile patterns through the
-  /// process-wide two-level memo cache. Bit-exact on or off.
-  bool use_memo_cache = true;
-  /// Maintain the quad list incrementally across reorder-retry evictions
-  /// instead of re-enumerating C(16,4) groups. Bit-exact on or off.
-  bool use_incremental_retry = true;
   /// When a panel's layout grows past the original K, re-plan it up to
   /// this many times from deterministically shuffled live-column orders
   /// and keep the first order that fits (panels that planned fine are
@@ -68,11 +60,8 @@ struct PlanStats {
   std::uint64_t tile_searches = 0;        ///< Algorithm 1 invocations
   std::uint64_t identity_tiles = 0;       ///< identity fast-path hits
   std::uint64_t infeasible_rows = 0;      ///< row-overload early-outs
-  std::uint64_t fresh_enumerations = 0;   ///< full C(16,4) enumerations
-  std::uint64_t quads_enumerated = 0;     ///< quads from fresh enumerations
-  std::uint64_t incremental_updates = 0;  ///< eviction events applied to lists
-  std::uint64_t cache_lookups = 0;        ///< memo-cache probes
-  std::uint64_t cache_hits = 0;           ///< memo-cache hits (both levels)
+  std::uint64_t fresh_enumerations = 0;   ///< C(16,4) quad enumerations
+  std::uint64_t quads_enumerated = 0;     ///< quads those enumerations found
   std::uint64_t greedy_attempts = 0;      ///< randomized exact-cover tries
   std::uint64_t pair_iterations = 0;      ///< bidirectional-search iterations
   std::uint64_t evictions = 0;            ///< reorder-retry column moves
@@ -82,12 +71,6 @@ struct PlanStats {
   double search_seconds = 0.0;  ///< time in the per-window searches
   double total_seconds = 0.0;   ///< end-to-end wall time of the plan
 
-  double cache_hit_rate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) /
-                     static_cast<double>(cache_lookups);
-  }
   /// Accumulates `other` into this (timings add; used per panel).
   void merge(const PlanStats& other);
 };
@@ -173,10 +156,9 @@ using ColumnFilter =
 
 /// Runs the multi-granularity sparsity reorder. Rows are processed in
 /// BLOCK_TILE panels (the final panel may be shorter; it is handled as a
-/// zero-padded full panel). Deterministic for a fixed seed — independent of
-/// thread count, memo-cache state, and the incremental-retry toggle.
-/// Panels are processed in parallel. An empty `column_filter` keeps every
-/// column.
+/// zero-padded full panel). Deterministic for a fixed seed and independent
+/// of the thread count. Panels are processed in parallel. An empty
+/// `column_filter` keeps every column.
 ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
                                         const ReorderOptions& options = {},
                                         const ColumnFilter& column_filter = {});

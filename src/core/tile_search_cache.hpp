@@ -1,60 +1,19 @@
-// Two-level memoization cache of the MMA_TILE quad enumeration (the
-// "compatible column groups" of Algorithm 1).
-//
-// Pruned-NN layers repeat tile patterns heavily; the quad list of a tile is
-// a pure function of its 16 column masks, invariant (up to position
-// relabeling) under any permutation of the masks. Entries are therefore
-// keyed on the canonicalized mask multiset (the 16 masks sorted ascending)
-// and stored in canonical position space; a lookup remaps the stored quads
-// through the sorting permutation and restores enumeration order, which
-// reproduces enumerate_compatible_quads bit-exactly.
-//
-// Only the rng-free enumeration is cached — never a full search result: the
-// greedy phase consumes the per-panel rng stream, so replaying a cached
-// permutation would desynchronize the stream and change downstream plans.
-//
-// Level 1 is thread-local (no synchronization; parallel_for panel workers
-// hit it contention-free); level 2 is shared across threads behind sharded
-// mutexes and feeds the thread-local level on hit. Both levels are
-// size-capped with pseudo-random replacement.
+// Compatibility stub. The planner keeps no tile-search memo (every tile
+// search enumerates its quads afresh), so there is nothing to clear. The
+// benchmark program (perfbench/) still calls clear() before each cold
+// set-up; ROADMAP.md item 1, which moves perfbench/ off removed surfaces,
+// drops those calls and then deletes this header.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <span>
-
-#include "core/mma_tile_reorder.hpp"
 
 namespace jigsaw::core {
 
-enum class TileCacheHit : std::uint8_t { kMiss = 0, kThreadLocal, kShared };
-
 class TileSearchCache {
  public:
-  /// The process-wide cache used by multi_granularity_reorder.
-  static TileSearchCache& instance();
-
-  /// Looks up the quad list for `col_masks` (exactly kMmaTile entries).
-  /// On a hit, fills `out` with exactly what enumerate_compatible_quads
-  /// would produce for these masks and reports which level answered.
-  TileCacheHit lookup(std::span<const std::uint16_t> col_masks,
-                      MmaTileQuadList& out);
-
-  /// Stores a freshly enumerated quad list (must be the exact
-  /// enumerate_compatible_quads output for `col_masks`).
-  void publish(std::span<const std::uint16_t> col_masks,
-               const MmaTileQuadList& quads);
-
-  /// Drops all shared entries and invalidates every thread-local level
-  /// (lazily, via an epoch check). Used by tests and benchmarks to measure
-  /// cold-cache behavior.
-  void clear();
-
-  /// Number of entries currently resident in the shared level.
-  std::size_t shared_entries() const;
-
- private:
-  TileSearchCache() = default;
+  static TileSearchCache& instance() {
+    static TileSearchCache cache;
+    return cache;
+  }
+  void clear() {}
 };
 
 }  // namespace jigsaw::core

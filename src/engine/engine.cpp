@@ -134,13 +134,8 @@ std::uint64_t options_content_hash(const EngineOptions& options,
   if (resolved_policy != ExecutionPolicy::kRaw) {
     fnv_mix(h, static_cast<std::uint64_t>(r.search.bank_conflict_aware));
   }
-  fnv_mix(h, static_cast<std::uint64_t>(r.search.greedy_attempts));
-  fnv_mix(h, r.search.max_pair_iterations);
-  fnv_mix(h, r.search.conflict_free_search_budget);
   fnv_mix(h, static_cast<std::uint64_t>(r.eviction_limit_per_tile));
   fnv_mix(h, r.seed);
-  fnv_mix(h, static_cast<std::uint64_t>(r.use_memo_cache));
-  fnv_mix(h, static_cast<std::uint64_t>(r.use_incremental_retry));
   fnv_mix(h, static_cast<std::uint64_t>(r.rescue_attempts));
   return h;
 }

@@ -282,19 +282,19 @@ TEST(AnalyzeRegistry, SlashShorthandExpandsOverTheLastSegment) {
   analyze::Options opts;
   opts.registry_path = "fixture/OBS_REGISTRY.md";
   opts.registry_content =
-      "## Metrics\n\n- `tile_cache.hits` \n- `tile_cache.misses`\n";
+      "## Metrics\n\n- `engine.cache.hits` \n- `engine.cache.misses`\n";
   opts.docs_path = "fixture/OBSERVABILITY.md";
-  opts.docs_content = "`tile_cache.hits/misses/evictions` counters.\n";
+  opts.docs_content = "`engine.cache.hits/misses/evictions` counters.\n";
   const lint::SourceFile code = lint::parse_source("x/a.cpp",
       "void f() {\n"
-      "  obs::add(\"tile_cache.hits\", 1.0);\n"
-      "  obs::add(\"tile_cache.misses\", 1.0);\n"
+      "  obs::add(\"engine.cache.hits\", 1.0);\n"
+      "  obs::add(\"engine.cache.misses\", 1.0);\n"
       "}\n");
   const auto findings =
       analyze::run_rules({code}, {"obs-name-registry"}, opts);
   // hits and misses resolve; evictions is the one drifted name.
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(findings[0].message.find("tile_cache.evictions"),
+  EXPECT_NE(findings[0].message.find("engine.cache.evictions"),
             std::string::npos);
 }
 

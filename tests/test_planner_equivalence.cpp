@@ -1,10 +1,9 @@
 // Planner fast-path equivalence suite. The optimized planner (sparse mask
-// extraction, incremental retry, memo cache, bitset searches) must produce
-// plans BIT-IDENTICAL to the straightforward pre-fast-path implementation:
-// the golden fingerprints below were captured by running that planner
-// (commit 5c49bdc's src/core/reorder.cpp) over deterministic DLMC-like
-// matrices. Every toggle combination, thread count, and cache temperature
-// must reproduce them exactly.
+// extraction, bitset searches) must produce plans BIT-IDENTICAL to the
+// straightforward pre-fast-path implementation: the golden fingerprints
+// below were captured by running that planner (commit 5c49bdc's
+// src/core/reorder.cpp) over deterministic DLMC-like matrices. Every
+// thread count must reproduce them exactly.
 #include "core/reorder.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/tile_search_cache.hpp"
 #include "dlmc/suite.hpp"
 
 namespace jigsaw::core {
@@ -80,7 +78,6 @@ ColumnFilter filter_for(const GoldenConfig& c) {
 }
 
 TEST(PlannerEquivalence, GoldenFingerprintsWithRescueDisabled) {
-  TileSearchCache::instance().clear();
   for (const GoldenConfig& c : golden_configs()) {
     const auto a = matrix_for(c);
     ReorderOptions opt = options_for(c);
@@ -105,43 +102,6 @@ TEST(PlannerEquivalence, DefaultsMatchGoldenWhenRescueIsIdle) {
   }
 }
 
-TEST(PlannerEquivalence, MemoCacheOnOffAndWarmAreBitExact) {
-  const GoldenConfig c{256, 512, 85, 2, 32, false, 0, false};
-  const auto a = matrix_for(c);
-  ReorderOptions opt = options_for(c);
-
-  opt.use_memo_cache = false;
-  const std::uint64_t uncached =
-      plan_fingerprint(multi_granularity_reorder(a, opt));
-
-  opt.use_memo_cache = true;
-  TileSearchCache::instance().clear();
-  const auto cold = multi_granularity_reorder(a, opt);
-  const auto warm = multi_granularity_reorder(a, opt);
-  EXPECT_EQ(plan_fingerprint(cold), uncached);
-  EXPECT_EQ(plan_fingerprint(warm), uncached);
-  EXPECT_EQ(warm.stats.cache_hits, warm.stats.cache_lookups);
-  EXPECT_GT(warm.stats.cache_hits, 0u);
-  EXPECT_EQ(warm.stats.fresh_enumerations, 0u);
-}
-
-TEST(PlannerEquivalence, IncrementalRetryOnOffIsBitExact) {
-  // 70% sparsity forces plenty of reorder-retry evictions, exercising the
-  // incremental quad maintenance against from-scratch enumeration.
-  const GoldenConfig c{256, 512, 70, 2, 16, false, 0, true};
-  const auto a = matrix_for(c);
-  ReorderOptions opt = options_for(c);
-  opt.use_memo_cache = false;
-
-  opt.use_incremental_retry = true;
-  const auto incremental = multi_granularity_reorder(a, opt);
-  opt.use_incremental_retry = false;
-  const auto from_scratch = multi_granularity_reorder(a, opt);
-  EXPECT_EQ(plan_fingerprint(incremental), plan_fingerprint(from_scratch));
-  EXPECT_GT(incremental.stats.incremental_updates, 0u);
-  EXPECT_EQ(from_scratch.stats.incremental_updates, 0u);
-}
-
 TEST(PlannerEquivalence, PlanIsIndependentOfThreadCount) {
   const GoldenConfig c{256, 512, 80, 8, 16, false, 0, false};
   const auto a = matrix_for(c);
@@ -155,30 +115,20 @@ TEST(PlannerEquivalence, PlanIsIndependentOfThreadCount) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(PlannerEquivalence, PropertySweepAllTogglesAgree) {
-  // Sparsity sweep over the planner's operating range: every feature
-  // combination must agree with the everything-off reference plan.
+TEST(PlannerEquivalence, PropertySweepThreadCountsAgree) {
+  // Sparsity sweep over the planner's operating range: the default thread
+  // count must agree with the single-threaded reference plan.
   for (const int sp : {70, 75, 80, 85, 90, 95, 98}) {
     const auto a = dlmc::make_lhs({256, 512}, sp / 100.0, 2).values();
     ReorderOptions reference;
     reference.tile.block_tile_m = 32;
-    reference.use_memo_cache = false;
-    reference.use_incremental_retry = false;
     reference.max_threads = 1;
     const std::uint64_t want =
         plan_fingerprint(multi_granularity_reorder(a, reference));
-    for (const bool memo : {false, true}) {
-      for (const bool incr : {false, true}) {
-        ReorderOptions opt;
-        opt.tile.block_tile_m = 32;
-        opt.use_memo_cache = memo;
-        opt.use_incremental_retry = incr;
-        if (memo) TileSearchCache::instance().clear();
-        const auto r = multi_granularity_reorder(a, opt);
-        EXPECT_EQ(plan_fingerprint(r), want)
-            << "sp=" << sp << " memo=" << memo << " incr=" << incr;
-      }
-    }
+    ReorderOptions opt;
+    opt.tile.block_tile_m = 32;
+    const auto r = multi_granularity_reorder(a, opt);
+    EXPECT_EQ(plan_fingerprint(r), want) << "sp=" << sp;
   }
 }
 
@@ -222,11 +172,14 @@ TEST(PlannerEquivalence, StatsArePopulated) {
   const PlanStats& s = r.stats;
   EXPECT_EQ(s.panels_planned, r.panels.size());
   EXPECT_GT(s.tile_searches, 0u);
+  // Every search ends in the identity or infeasible-row fast path or
+  // enumerates its quads; none is answered from stored state.
+  EXPECT_EQ(s.tile_searches,
+            s.identity_tiles + s.infeasible_rows + s.fresh_enumerations);
   EXPECT_GT(s.mask_words_built, 0u);
   EXPECT_GE(s.total_seconds, 0.0);
   EXPECT_GE(s.search_seconds, 0.0);
   EXPECT_GE(s.mask_seconds, 0.0);
-  EXPECT_LE(s.cache_hit_rate(), 1.0);
 }
 
 }  // namespace

@@ -773,8 +773,8 @@ bool is_dynamic_segment(const std::string& seg) {
 // name is a dynamic family or not an instrument name at all.
 std::vector<std::string> expand_docs_name(const std::string& raw) {
   static const std::set<std::string> kSubsystems = {
-      "checked", "engine", "format",     "hybrid", "kernel",
-      "reorder", "serialize", "tile_cache", "obs",    "jigsaw"};
+      "checked", "engine",    "format", "hybrid", "kernel",
+      "reorder", "serialize", "obs",    "jigsaw"};
   if (!looks_like_obs_name(raw)) return {};
   const std::string first = raw.substr(0, raw.find('.'));
   if (kSubsystems.count(first) == 0) return {};

@@ -498,8 +498,8 @@ void rule_no_magic_bounds(const SourceFile& f,
 
 const std::set<std::string>& obs_subsystems() {
   static const std::set<std::string> kSubsystems = {
-      "checked", "engine", "format",    "hybrid", "kernel",
-      "reorder", "serialize", "tile_cache", "obs",
+      "checked", "engine",    "format", "hybrid", "kernel",
+      "reorder", "serialize", "obs",
   };
   return kSubsystems;
 }
