@@ -43,14 +43,14 @@ bool panel_failed(const PanelReorder& panel, std::size_t cols) {
 }
 
 CheckedArtifact checked_compile(const DenseMatrix<fp16_t>& a,
-                                const EngineOptions::Compile& options) {
+                                const EngineOptions::Compile& compile) {
   JIGSAW_TRACE_SCOPE("checked", "checked.compile");
+  const EngineOptions::Compile options =
+      resolve({ExecutionPolicy::kChecked, compile}).compile;
   CheckedArtifact out;
   DegradationReport& deg = out.degradation;
 
-  ReorderOptions ropts = options.reorder;
-  ropts.tile.block_tile_m = options.block_tile;
-  out.reorder = multi_granularity_reorder(a, ropts);
+  out.reorder = multi_granularity_reorder(a, options.reorder);
   const ReorderResult& first = out.reorder;
   deg.panels_total = first.panels.size();
   deg.reorder_evictions = first.total_evictions();
@@ -77,7 +77,7 @@ CheckedArtifact checked_compile(const DenseMatrix<fp16_t>& a,
     PanelRouting& routing = plan.routing[p];
     for (const std::uint32_t col : first.panels[p].col_idx) {
       const std::uint32_t nnz = panel_column_nnz(a, row_begin, row_end, col);
-      if (nnz <= options.cuda_route_max_nnz) {
+      if (nnz <= kCudaRouteMaxNnz) {
         routing.cuda_columns.push_back(col);
         routing.cuda_nnz += nnz;
       } else {
@@ -108,7 +108,7 @@ CheckedArtifact checked_compile(const DenseMatrix<fp16_t>& a,
     if (degraded[p]) failed.push_back(p);
   }
   plan.reorder = first;
-  reorder_panels(a, ropts, failed, plan.reorder,
+  reorder_panels(a, options.reorder, failed, plan.reorder,
                  [&degraded](std::size_t panel, std::uint32_t) {
                    return !degraded[panel];
                  });

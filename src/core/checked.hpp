@@ -54,10 +54,11 @@ struct CheckedArtifact {
   DegradationReport degradation;
 };
 
-/// Reorders A at options.block_tile and degrades every failed panel
-/// through the hybrid routing. Arguments are the engine's to check
-/// (Engine::compile); the counters are published to the metrics registry.
+/// Reorders A at block_tile, with `compile` resolved under kChecked, and
+/// degrades every failed panel through the hybrid routing. Arguments are
+/// the engine's to check (Engine::compile); the counters are published to
+/// the metrics registry.
 CheckedArtifact checked_compile(const DenseMatrix<fp16_t>& a,
-                                const EngineOptions::Compile& options);
+                                const EngineOptions::Compile& compile);
 
 }  // namespace jigsaw::core

@@ -52,18 +52,16 @@ std::size_t HybridPlan::total_cuda_columns() const {
 }
 
 HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
-                       const EngineOptions::Compile& options) {
+                       const EngineOptions::Compile& compile) {
   JIGSAW_TRACE_SCOPE("hybrid", "hybrid.plan");
-  ReorderOptions ropts = options.reorder;
-  ropts.tile.block_tile_m = options.block_tile;
-  ropts.tile.validate();
+  const EngineOptions::Compile options =
+      resolve({ExecutionPolicy::kHybrid, compile}).compile;
+  options.reorder.tile.validate();
   JIGSAW_CHECK_MSG(a.rows() > 0 && a.cols() > 0, "empty matrix");
 
   HybridPlan plan;
   const std::size_t bt = static_cast<std::size_t>(options.block_tile);
   const std::size_t num_panels = (a.rows() + bt - 1) / bt;
-  const auto dense_threshold = static_cast<std::uint32_t>(
-      options.dense_route_min_density * kMmaTile);
 
   plan.routing.resize(num_panels);
   // route_map[panel][column]: only SpTC columns pass the reorder filter.
@@ -78,10 +76,10 @@ HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
     for (std::size_t c = 0; c < a.cols(); ++c) {
       const ColumnStats s = column_stats(a, row_begin, row_end, c);
       if (s.panel_nnz == 0) continue;  // zero column: skipped everywhere
-      if (s.max_slice_nnz > dense_threshold) {
+      if (s.max_slice_nnz > kDenseRouteMinNnz) {
         route_map[p][c] = Route::kDenseTC;
         routing.dense_columns.push_back(static_cast<std::uint32_t>(c));
-      } else if (s.panel_nnz <= options.cuda_route_max_nnz) {
+      } else if (s.panel_nnz <= kCudaRouteMaxNnz) {
         route_map[p][c] = Route::kCudaCore;
         routing.cuda_columns.push_back(static_cast<std::uint32_t>(c));
         routing.cuda_nnz += s.panel_nnz;
@@ -90,7 +88,7 @@ HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
   });
 
   plan.reorder = multi_granularity_reorder(
-      a, ropts, [&route_map](std::size_t panel, std::uint32_t col) {
+      a, options.reorder, [&route_map](std::size_t panel, std::uint32_t col) {
         return route_map[panel][col] == Route::kSpTC;
       });
   plan.format = JigsawFormat::build(a, plan.reorder);

@@ -8,10 +8,10 @@
 // module implements that sketch:
 //
 //   * per BLOCK_TILE panel, every column is routed to one of three units:
-//       - DENSE  (dense tensor core, mma.m16n8k16): columns whose nonzero
-//         density in some 16-row slice exceeds 50% — they would force the
-//         two-per-group fallback on the SpTC;
-//       - CUDA   (CUDA cores): columns with at most `cuda_route_max_nnz`
+//       - DENSE  (dense tensor core, mma.m16n8k16): columns with more than
+//         kDenseRouteMinNnz nonzeros (12 of 16 rows) in some 16-row slice
+//         — they would force the two-per-group fallback on the SpTC;
+//       - CUDA   (CUDA cores): columns with at most kCudaRouteMaxNnz
 //         nonzeros in the panel — too thin to feed a tensor core;
 //       - SPTC   (the standard Jigsaw path): everything in between;
 //   * the SpTC subset goes through the unchanged multi-granularity reorder
@@ -33,6 +33,15 @@ namespace jigsaw::core {
 
 enum class Route : std::uint8_t { kSpTC = 0, kDenseTC = 1, kCudaCore = 2 };
 
+/// A column with more than this many nonzeros in some 16-row slice (75%)
+/// goes to the dense tensor core: it would force the two-per-group SpTC
+/// fallback, while borderline columns stay with the reorder, which often
+/// still packs them at full utilization.
+inline constexpr std::uint32_t kDenseRouteMinNnz = 12;
+/// A column with at most this many nonzeros in its panel goes to the CUDA
+/// cores (here and in checked_compile's degraded panels).
+inline constexpr std::uint32_t kCudaRouteMaxNnz = 2;
+
 /// Routing decision and payload for one panel.
 struct PanelRouting {
   std::vector<std::uint32_t> dense_columns;  ///< original column ids
@@ -49,12 +58,13 @@ struct HybridPlan {
   std::size_t total_cuda_columns() const;
 };
 
-/// Classifies columns and preprocesses the SpTC subset. Reads
-/// `block_tile`, `dense_route_min_density`, `cuda_route_max_nnz` and
-/// `reorder` of `options`. BLOCK_TILE 16 routes at single-slice precision,
-/// which keeps the dense detour from dragging whole 64-row columns with it.
+/// Classifies columns by kDenseRouteMinNnz and kCudaRouteMaxNnz and
+/// preprocesses the SpTC subset, with `compile` resolved under kHybrid
+/// (only its block_tile and reorder are read). BLOCK_TILE 16 routes at
+/// single-slice precision, which keeps the dense detour from dragging
+/// whole 64-row columns with it.
 HybridPlan hybrid_plan(const DenseMatrix<fp16_t>& a,
-                       const EngineOptions::Compile& options);
+                       const EngineOptions::Compile& compile);
 
 /// Simulated report of the fused hybrid kernel against an n-column RHS:
 /// the SpTC subset's V4 cost walk plus the dense-TC and CUDA-core pipes.

@@ -50,10 +50,31 @@ KernelFeatures KernelFeatures::for_version(KernelVersion v) {
   return f;
 }
 
+EngineOptions resolve(const EngineOptions& options) {
+  EngineOptions r = options;
+  EngineOptions::Compile& c = r.compile;
+  if (r.policy == ExecutionPolicy::kAuto) r.policy = ExecutionPolicy::kChecked;
+  if (r.policy == ExecutionPolicy::kRaw) {
+    const KernelFeatures feats = KernelFeatures::for_version(c.version);
+    // V0 ships without any bank-conflict countermeasure, including the
+    // conflict-aware group selection inside the reorder (§3.4.1).
+    c.reorder.search.bank_conflict_aware = feats.padded_smem;
+    if (feats.tile_tuning) c.block_tile = EngineOptions::Compile{}.block_tile;
+  } else if (r.policy == ExecutionPolicy::kHybrid) {
+    // hybrid_cost walks the SpTC subset at V4, and hybrid_plan always
+    // builds it interleaved.
+    c.version = KernelVersion::kV4;
+  }
+  c.reorder.tile.block_tile_m = c.block_tile;
+  return r;
+}
+
 JigsawPlan jigsaw_plan(const DenseMatrix<fp16_t>& a,
-                       const EngineOptions::Compile& options) {
+                       const EngineOptions::Compile& compile) {
   JIGSAW_TRACE_SCOPE("kernel", "kernel.plan");
   const auto t0 = std::chrono::steady_clock::now();
+  const EngineOptions::Compile options =
+      resolve({ExecutionPolicy::kRaw, compile}).compile;
   const KernelFeatures feats = KernelFeatures::for_version(options.version);
 
   JigsawPlan plan;
@@ -73,12 +94,8 @@ JigsawPlan jigsaw_plan(const DenseMatrix<fp16_t>& a,
                                     ? MetadataLayout::kInterleaved
                                     : MetadataLayout::kNaive;
   for (std::size_t i = 0; i < num_block_tiles; ++i) {
-    const int bt = block_tiles[i];
     ReorderOptions ropts = options.reorder;
-    ropts.tile.block_tile_m = bt;
-    // V0 ships without any bank-conflict countermeasure, including the
-    // conflict-aware group selection inside the reorder (§3.4.1).
-    ropts.search.bank_conflict_aware = feats.padded_smem;
+    ropts.tile.block_tile_m = block_tiles[i];
     ReorderResult reorder = multi_granularity_reorder(a, ropts);
     plan.formats.push_back(JigsawFormat::build(a, reorder, layout));
     plan.reorders.push_back(std::move(reorder));

@@ -114,9 +114,10 @@ struct JigsawPlan {
   mutable SelectionMemo selections;
 };
 
-/// Runs the multi-granularity reorder and builds the format(s).
+/// Runs the multi-granularity reorder and builds the format(s), with
+/// `compile` resolved under kRaw.
 JigsawPlan jigsaw_plan(const DenseMatrix<fp16_t>& a,
-                       const EngineOptions::Compile& options = {});
+                       const EngineOptions::Compile& compile = {});
 
 /// The one place a candidate is picked: the plan's format with the lowest
 /// simulated duration against an n-column RHS (the paper's empirical

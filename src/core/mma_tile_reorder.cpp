@@ -78,9 +78,6 @@ MmaTilePermutation best_pairing(const QuadCover& cover, int real_columns) {
   return best;
 }
 
-/// Randomized greedy exact-cover attempt over the quad list. `candidates`
-/// is caller-provided scratch (reused across attempts to avoid one heap
-/// allocation per attempt — the planner makes tens of thousands of them).
 /// Randomized greedy exact-cover attempt over the quad list. The candidate
 /// set lives in a bitset over quad indices (`cand`, caller scratch);
 /// filtering a pick's conflicts is four word-wide andnots against the

@@ -50,6 +50,8 @@ struct MmaTilePermutation {
 /// (§3.4.1). The search budgets are fixed constants in the .cpp.
 struct MmaTileSearchOptions {
   bool bank_conflict_aware = true;
+
+  bool operator==(const MmaTileSearchOptions&) const = default;
 };
 
 /// Outcome of one tile search.

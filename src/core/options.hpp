@@ -3,10 +3,11 @@
 // Two sections carry every knob:
 //
 //   * EngineOptions::Compile — everything that shapes the immutable
-//     compiled artifact (kernel version, tiling, metadata layout, reorder
-//     knobs, hybrid routing thresholds). Two compiles with equal Compile
-//     sections on the same matrix produce interchangeable artifacts, which
-//     is what makes the engine's plan cache sound.
+//     compiled artifact (kernel version, tiling, reorder knobs, whether
+//     the artifact accepts updates). Which of them a route reads is
+//     decided in one place, resolve(): the route builders read only its
+//     result and the engine's plan cache keys on it, so two compiles whose
+//     options resolve equal produce interchangeable artifacts.
 //   * EngineOptions::Run — everything that varies per execution against an
 //     already-compiled artifact (latency-model tuning, fused epilogue).
 //     Run options never invalidate a cached artifact.
@@ -14,8 +15,8 @@
 // EngineOptions itself holds the ExecutionPolicy and the Compile section:
 // what Engine::compile reads. Engine::submit, execute and cost take their
 // own Run. The lower-level entry points take the matching section directly
-// (jigsaw_plan and hybrid_plan a Compile, jigsaw_run a Run). See
-// docs/API.md.
+// (jigsaw_plan, checked_compile and hybrid_plan a Compile, which each
+// resolves under its own policy; jigsaw_run a Run). See docs/API.md.
 #pragma once
 
 #include <cstdint>
@@ -96,35 +97,24 @@ const char* to_string(ExecutionPolicy p);
 
 /// The single layered option surface (see file comment).
 struct EngineOptions {
-  /// Compile-time section: shapes the immutable artifact; part of the
-  /// plan-cache key.
+  /// Compile-time section: shapes the immutable artifact; resolved, it is
+  /// part of the plan-cache key.
   struct Compile {
     KernelVersion version = KernelVersion::kV4;
     /// BLOCK_TILE of the checked and hybrid routes and of kRaw V0..V3;
     /// kRaw V4 (and jigsaw_plan at V4) tunes over {16, 32, 64} instead.
     int block_tile = 64;
-    /// Reorder knobs. reorder.tile is not read: every route reorders at
-    /// block_tile (or the kRaw V4 candidates), so the cache key skips it.
+    /// Reorder knobs. reorder.tile is not an input: every route reorders
+    /// at block_tile (or the kRaw V4 candidates).
     ReorderOptions reorder{};
-    /// Metadata layout of the one format an undegraded kChecked artifact
-    /// executes. kRaw formats follow their version (V0..V2 kNaive, V3+
-    /// kInterleaved); the hybrid route's SpTC subset is kInterleaved.
-    MetadataLayout metadata_layout = MetadataLayout::kInterleaved;
-    /// Hybrid routing (kHybrid policy): columns whose densest 16-row
-    /// slice exceeds this fraction go to the dense tensor core. 0.75
-    /// targets columns that would force the two-per-group SpTC fallback
-    /// while leaving borderline columns to the reorder, which often still
-    /// packs them at full utilization.
-    double dense_route_min_density = 0.75;
-    /// Hybrid/checked routing: columns with at most this many panel
-    /// nonzeros fall back to the CUDA cores.
-    std::uint32_t cuda_route_max_nnz = 2;
     /// Opt into Engine::update streaming weight deltas into this
     /// artifact: the source operand stays resident inside the
     /// CompiledMatrix (one extra fp16 copy charged to the cache) and the
     /// artifact carries the RCU lineage cell successor generations are
     /// published through.
     bool updatable = false;
+
+    bool operator==(const Compile&) const = default;
   };
 
   /// Run-time section: varies per execution, never invalidates a cached
@@ -136,7 +126,18 @@ struct EngineOptions {
 
   ExecutionPolicy policy = ExecutionPolicy::kAuto;
   Compile compile;
+
+  bool operator==(const EngineOptions&) const = default;
 };
+
+/// The options the route `options.policy` reads, with every field the
+/// route ignores or overwrites set to the one value it uses: kAuto becomes
+/// kChecked and reorder.tile takes block_tile; kRaw takes
+/// bank_conflict_aware from the version and, at V4, the default
+/// block_tile (its candidates are fixed); kHybrid takes version kV4.
+/// Idempotent. The route builders read only its result, and the engine's
+/// cache key hashes it.
+EngineOptions resolve(const EngineOptions& options);
 
 /// Deprecated spelling of EngineOptions::Run. The benchmark program
 /// (perfbench/) still spells it; everything else spells the section.

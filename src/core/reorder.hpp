@@ -50,6 +50,8 @@ struct ReorderOptions {
   /// identical for every thread count; the cap exists for tests and for
   /// embedding the planner in already-parallel callers.
   int max_threads = 0;
+
+  bool operator==(const ReorderOptions&) const = default;
 };
 
 /// Per-phase planning counters and timings, aggregated over all panels

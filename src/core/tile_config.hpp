@@ -56,6 +56,8 @@ struct TileConfig {
     JIGSAW_CHECK_MSG(block_tile_valid(block_tile_m),
                      "BLOCK_TILE must be 16, 32 or 64, got " << block_tile_m);
   }
+
+  bool operator==(const TileConfig&) const = default;
 };
 
 /// Rounds x up to a multiple of m.

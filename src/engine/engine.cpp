@@ -27,21 +27,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-void fnv_mix_double(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  fnv_mix(h, bits);
-}
-
-/// The layout field an undegraded kChecked artifact executes (the one
-/// CompiledMatrix::format() reads off the hybrid route).
-core::JigsawFormat& checked_format(CompiledMatrix& cm) {
-  return cm.options.metadata_layout == core::MetadataLayout::kNaive
-             ? cm.naive_format
-             : cm.interleaved_format;
-}
-
 void apply_epilogue(DenseMatrix<float>& c, const core::Epilogue& epilogue) {
   if (!epilogue.active()) return;
   for (std::size_t r = 0; r < c.rows(); ++r) {
@@ -76,21 +61,11 @@ std::vector<std::size_t> dirty_panels_of(const std::vector<bool>& row_dirty,
   return dirty;
 }
 
-/// compile_artifact's kRaw candidate selection, shared with the update
-/// path so a spliced plan picks the same BLOCK_TILE its base would.
-std::pair<bool, std::size_t> choose_raw_candidate(const core::JigsawPlan& plan,
-                                                  int preferred_block_tile) {
-  std::size_t chosen = 0;
-  bool any_success = false;
-  for (std::size_t i = 0; i < plan.reorders.size(); ++i) {
-    if (!plan.reorders[i].success()) continue;
-    if (!any_success ||
-        plan.reorders[i].tile.block_tile_m == preferred_block_tile) {
-      chosen = i;
-    }
-    any_success = true;
-  }
-  return {any_success, chosen};
+/// The kRaw route's one failure test: some BLOCK_TILE candidate passed
+/// the §4.3 reorder.
+bool any_candidate_reordered(const core::JigsawPlan& plan) {
+  return std::any_of(plan.reorders.begin(), plan.reorders.end(),
+                     [](const core::ReorderResult& r) { return r.success(); });
 }
 
 }  // namespace
@@ -110,33 +85,30 @@ std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a) {
   return h;
 }
 
-std::uint64_t options_content_hash(const EngineOptions& options,
-                                   ExecutionPolicy resolved_policy) {
-  const EngineOptions::Compile& c = options.compile;
+std::uint64_t options_content_hash(const EngineOptions& resolved) {
+  // Every leaf is bound by name, so a new option field does not build
+  // until it is hashed here or left out with its reason.
+  const auto& [policy, compile] = resolved;
+  const auto& [version, block_tile, reorder, updatable] = compile;
+  const auto& [tile, search, eviction_limit_per_tile, seed, rescue_attempts,
+               max_threads] = reorder;
+  const auto& [bank_conflict_aware] = search;
+  // Left out: reorder.tile, which resolve sets from block_tile, and
+  // max_threads, because plans are thread-count invariant.
+  [[maybe_unused]] const auto& [block_tile_m] = tile;
   std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(resolved_policy));
-  fnv_mix(h, static_cast<std::uint64_t>(c.version));
-  fnv_mix(h, static_cast<std::uint64_t>(c.block_tile));
-  fnv_mix(h, static_cast<std::uint64_t>(c.metadata_layout));
-  fnv_mix_double(h, c.dense_route_min_density);
-  fnv_mix(h, c.cuda_route_max_nnz);
+  fnv_mix(h, static_cast<std::uint64_t>(policy));
+  fnv_mix(h, static_cast<std::uint64_t>(version));
+  fnv_mix(h, static_cast<std::uint64_t>(block_tile));
   // updatable changes the artifact (retained operand, lineage cell), so
   // updatable and non-updatable compiles of one matrix never share an
   // entry — an update retiring its old generation cannot evict the
   // read-only artifact other callers keep hitting.
-  fnv_mix(h, static_cast<std::uint64_t>(c.updatable));
-  // Every plan-affecting reorder knob. Deliberately excluded: max_threads
-  // (plans are thread-count invariant), tile (every route overwrites it
-  // with block_tile or the kRaw V4 candidates) and, under kRaw,
-  // bank_conflict_aware (jigsaw_plan sets it from the version, which is
-  // already keyed; kChecked and kHybrid read the caller's value).
-  const core::ReorderOptions& r = c.reorder;
-  if (resolved_policy != ExecutionPolicy::kRaw) {
-    fnv_mix(h, static_cast<std::uint64_t>(r.search.bank_conflict_aware));
-  }
-  fnv_mix(h, static_cast<std::uint64_t>(r.eviction_limit_per_tile));
-  fnv_mix(h, r.seed);
-  fnv_mix(h, static_cast<std::uint64_t>(r.rescue_attempts));
+  fnv_mix(h, static_cast<std::uint64_t>(updatable));
+  fnv_mix(h, static_cast<std::uint64_t>(bank_conflict_aware));
+  fnv_mix(h, static_cast<std::uint64_t>(eviction_limit_per_tile));
+  fnv_mix(h, seed);
+  fnv_mix(h, static_cast<std::uint64_t>(rescue_attempts));
   return h;
 }
 
@@ -156,18 +128,15 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::compile(
     return Status(StatusCode::kInvalidArgument,
                   "BLOCK_TILE must be 16, 32 or 64, got " + std::to_string(bt));
   }
-  const ExecutionPolicy policy = options.policy == ExecutionPolicy::kAuto
-                                     ? ExecutionPolicy::kChecked
-                                     : options.policy;
-  const CacheKey key{matrix_content_hash(a),
-                     options_content_hash(options, policy)};
+  const EngineOptions resolved = core::resolve(options);
+  const CacheKey key{matrix_content_hash(a), options_content_hash(resolved)};
   if (auto hit = cache_.find(key)) {
     obs::add("engine.cache.hits");
     return hit;
   }
   obs::add("engine.cache.misses");
 
-  auto artifact = compile_artifact(a, options, policy, key);
+  auto artifact = compile_artifact(a, resolved, key);
   if (!artifact.ok()) return artifact.status();
   auto inserted = cache_.insert(key, artifact.value(),
                                 artifact.value()->footprint_bytes);
@@ -178,63 +147,51 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::compile(
 }
 
 Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
-    const DenseMatrix<fp16_t>& a, const EngineOptions& options,
-    ExecutionPolicy policy, const CacheKey& key) const {
+    const DenseMatrix<fp16_t>& a, const EngineOptions& resolved,
+    const CacheKey& key) const {
   const auto t0 = std::chrono::steady_clock::now();
   auto cm = std::make_shared<CompiledMatrix>();
   cm->matrix_hash = key.matrix_hash;
   cm->options_hash = key.options_hash;
-  cm->policy = policy;
-  cm->options = options.compile;
+  cm->policy = resolved.policy;
+  cm->options = resolved.compile;
   cm->rows = a.rows();
   cm->cols = a.cols();
 
   // Route selection happens here, once: the artifact records it and
   // execute() just follows. Exceptions from the trusted tier (contract
   // bugs) are converted to kInternal at this boundary.
-  const core::ReorderResult* primary = nullptr;
   try {
-    switch (policy) {
-      case ExecutionPolicy::kAuto:  // resolved by compile(); unreachable
+    switch (cm->policy) {
+      case ExecutionPolicy::kAuto:  // resolved away; unreachable
       case ExecutionPolicy::kChecked: {
-        core::CheckedArtifact art = core::checked_compile(a, options.compile);
+        core::CheckedArtifact art = core::checked_compile(a, cm->options);
         cm->degraded = art.hybrid.has_value();
         cm->degradation = std::move(art.degradation);
         if (cm->degraded) {
           cm->hybrid = std::move(art.hybrid);
-          primary = &cm->hybrid->reorder;
         } else {
-          cm->plan.version = options.compile.version;
+          cm->plan.version = cm->options.version;
+          cm->interleaved_format = core::JigsawFormat::build(
+              a, art.reorder, core::MetadataLayout::kInterleaved);
           cm->plan.reorders.push_back(std::move(art.reorder));
-          primary = &cm->plan.reorders.back();
-          checked_format(*cm) = core::JigsawFormat::build(
-              a, *primary, options.compile.metadata_layout);
         }
         break;
       }
-      case ExecutionPolicy::kHybrid: {
-        cm->hybrid = core::hybrid_plan(a, options.compile);
-        primary = &cm->hybrid->reorder;
+      case ExecutionPolicy::kHybrid:
+        cm->hybrid = core::hybrid_plan(a, cm->options);
         break;
-      }
-      case ExecutionPolicy::kRaw: {
-        cm->plan = core::jigsaw_plan(a, options.compile);
-        const auto [any_success, chosen] =
-            choose_raw_candidate(cm->plan, options.compile.block_tile);
-        if (!any_success) {
+      case ExecutionPolicy::kRaw:
+        cm->plan = core::jigsaw_plan(a, cm->options);
+        if (!any_candidate_reordered(cm->plan)) {
           return Status(
               StatusCode::kReorderFailed,
               "raw policy: no BLOCK_TILE candidate reordered successfully "
               "(§4.3); recompile with ExecutionPolicy::kChecked to degrade "
               "instead");
         }
-        primary = &cm->plan.reorders[chosen];
         break;
-      }
     }
-
-    JIGSAW_CHECK_MSG(primary != nullptr, "no primary reorder selected");
-    cm->plan_fingerprint = core::plan_fingerprint(*primary);
   } catch (const std::exception& e) {
     return Status(StatusCode::kInternal,
                   std::string("compile raised: ") + e.what());
@@ -290,15 +247,25 @@ Status Engine::finalize_artifact(CompiledMatrix& cm,
     bytes += a.rows() * a.cols() * sizeof(fp16_t);
   }
   cm.footprint_bytes = bytes;
+
+  // Every SpTC route carries at least one reorder; the kRaw V4 candidates
+  // fold in order, and a single reorder keeps its own fingerprint.
+  if (cm.hybrid.has_value()) {
+    cm.plan_fingerprint = core::plan_fingerprint(cm.hybrid->reorder);
+  } else {
+    cm.plan_fingerprint = core::plan_fingerprint(cm.plan.reorders.front());
+    for (std::size_t i = 1; i < cm.plan.reorders.size(); ++i) {
+      fnv_mix(cm.plan_fingerprint,
+              core::plan_fingerprint(cm.plan.reorders[i]));
+    }
+  }
   return Status::Ok();
 }
 
 Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
     const CompiledMatrix& base, const DenseMatrix<fp16_t>& a2,
     const std::vector<bool>& row_dirty) const {
-  EngineOptions options;
-  options.policy = base.policy;
-  options.compile = base.options;
+  const EngineOptions resolved{base.policy, base.options};
   const CacheKey key{matrix_content_hash(a2), base.options_hash};
 
   // Degraded/hybrid bases route columns off the SpTC path per panel; that
@@ -313,7 +280,7 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
     // jigsaw-lint: allow(obs-name): named after the serving API surface
     // (engine.update), not an obs subsystem.
     obs::add("jigsaw.engine.update.full_recompiles");
-    return compile_artifact(a2, options, base.policy, key);
+    return compile_artifact(a2, resolved, key);
   }
 
   auto cm = std::make_shared<CompiledMatrix>();
@@ -324,71 +291,52 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
   cm->rows = a2.rows();
   cm->cols = a2.cols();
 
-  const core::ReorderResult* primary = nullptr;
   std::size_t panels_replanned = 0;
   try {
-    if (base.policy == ExecutionPolicy::kChecked) {
-      // Replicate checked_compile's reorder options exactly: the recorded
-      // result tile IS the compile's block_tile, and per-panel seeds
-      // derive from (seed, panel index), so re-planning only the dirty
-      // panels is bit-identical to a from-scratch checked compile.
+    // Re-plan every reorder the route executes (kRaw V4 carries three
+    // BLOCK_TILE candidates, the other SpTC routes one) under the recorded
+    // options at its own BLOCK_TILE. Per-panel seeds derive from (seed,
+    // panel index), so re-planning only the dirty panels is bit-identical
+    // to a from-scratch compile.
+    cm->plan.version = base.options.version;
+    for (std::size_t i = 0; i < base.plan.reorders.size(); ++i) {
       core::ReorderOptions ropts = base.options.reorder;
-      ropts.tile = base.plan.reorders[0].tile;
-      core::ReorderResult reorder = base.plan.reorders[0];
+      ropts.tile = base.plan.reorders[i].tile;
+      core::ReorderResult reorder = base.plan.reorders[i];
       const std::vector<std::size_t> dirty =
           dirty_panels_of(row_dirty, reorder.tile.block_tile_m);
       core::reorder_panels(a2, ropts, dirty, reorder);
       panels_replanned += dirty.size();
-      if (std::any_of(reorder.panels.begin(), reorder.panels.end(),
-                      [&](const core::PanelReorder& p) {
-                        return core::panel_failed(p, a2.cols());
-                      })) {
+      if (base.policy == ExecutionPolicy::kRaw) {
+        cm->plan.formats.push_back(
+            base.plan.formats[i].rebuild_panels(a2, reorder, dirty));
+      } else if (std::any_of(reorder.panels.begin(), reorder.panels.end(),
+                             [&](const core::PanelReorder& p) {
+                               return core::panel_failed(p, a2.cols());
+                             })) {
         // The delta pushed a panel off the SpTC path; the checked tier
         // would degrade it onto the hybrid pipes, which the splice cannot
         // represent — recompile from scratch instead.
         // jigsaw-lint: allow(obs-name): named after the serving API
         // surface (engine.update), not an obs subsystem.
         obs::add("jigsaw.engine.update.full_recompiles");
-        return compile_artifact(a2, options, base.policy, key);
+        return compile_artifact(a2, resolved, key);
+      } else {
+        cm->degradation.panels_total = reorder.panels.size();
+        cm->degradation.reorder_evictions = reorder.total_evictions();
+        cm->interleaved_format =
+            base.format().rebuild_panels(a2, reorder, dirty);
       }
-      cm->degradation.panels_total = reorder.panels.size();
-      cm->degradation.reorder_evictions = reorder.total_evictions();
-      cm->plan.version = base.options.version;
       cm->plan.reorders.push_back(std::move(reorder));
-      primary = &cm->plan.reorders.back();
-      checked_format(*cm) = base.format().rebuild_panels(a2, *primary, dirty);
-    } else {
-      // kRaw: splice every BLOCK_TILE candidate (V4 carries three), then
-      // re-run the candidate selection against the updated plans.
-      const core::KernelFeatures feats =
-          core::KernelFeatures::for_version(base.options.version);
-      cm->plan.version = base.options.version;
-      for (std::size_t i = 0; i < base.plan.reorders.size(); ++i) {
-        core::ReorderOptions ropts = base.options.reorder;
-        ropts.tile = base.plan.reorders[i].tile;
-        ropts.search.bank_conflict_aware = feats.padded_smem;
-        core::ReorderResult reorder = base.plan.reorders[i];
-        const std::vector<std::size_t> dirty =
-            dirty_panels_of(row_dirty, reorder.tile.block_tile_m);
-        core::reorder_panels(a2, ropts, dirty, reorder);
-        panels_replanned += dirty.size();
-        cm->plan.formats.push_back(
-            base.plan.formats[i].rebuild_panels(a2, reorder, dirty));
-        cm->plan.reorders.push_back(std::move(reorder));
-      }
-      const auto [any_success, chosen] =
-          choose_raw_candidate(cm->plan, base.options.block_tile);
-      if (!any_success) {
-        return Status(
-            StatusCode::kReorderFailed,
-            "update: no BLOCK_TILE candidate reordered successfully after "
-            "the delta (§4.3); the previous generation keeps serving — "
-            "compile with ExecutionPolicy::kChecked to degrade instead");
-      }
-      primary = &cm->plan.reorders[chosen];
     }
-    JIGSAW_CHECK_MSG(primary != nullptr, "no primary reorder selected");
-    cm->plan_fingerprint = core::plan_fingerprint(*primary);
+    if (base.policy == ExecutionPolicy::kRaw &&
+        !any_candidate_reordered(cm->plan)) {
+      return Status(
+          StatusCode::kReorderFailed,
+          "update: no BLOCK_TILE candidate reordered successfully after "
+          "the delta (§4.3); the previous generation keeps serving — "
+          "compile with ExecutionPolicy::kChecked to degrade instead");
+    }
   } catch (const std::exception& e) {
     return Status(StatusCode::kInternal,
                   std::string("update raised: ") + e.what());

@@ -94,14 +94,18 @@ struct Lineage;
 /// across worker threads.
 struct CompiledMatrix {
   std::uint64_t matrix_hash = 0;   ///< FNV-1a of the operand content
-  std::uint64_t options_hash = 0;  ///< hash of every plan-affecting option
-  /// Identity of the reorder output (core::plan_fingerprint of the
-  /// primary reorder) — comparable across processes and planner
-  /// generations; diagnostics only, the cache keys on content instead
-  /// (see plan_cache.hpp).
+  /// options_content_hash of the resolved options (core::resolve).
+  std::uint64_t options_hash = 0;
+  /// Identity of the reorder output: core::plan_fingerprint of the one
+  /// reorder the route executes (the SpTC subset's on the hybrid route);
+  /// under kRaw V4, the three candidates' fingerprints folded in order.
+  /// Comparable across processes and planner generations; diagnostics
+  /// only, the cache keys on content instead (see plan_cache.hpp).
   std::uint64_t plan_fingerprint = 0;
-  ExecutionPolicy policy = ExecutionPolicy::kChecked;  ///< resolved (never kAuto)
-  EngineOptions::Compile options;  ///< the compile section this was built with
+  /// The resolved options (core::resolve) this was built with, which are
+  /// exactly what its route read: policy is never kAuto.
+  ExecutionPolicy policy = ExecutionPolicy::kChecked;
+  EngineOptions::Compile options;
   std::size_t rows = 0, cols = 0;
 
   /// kRaw: the trusted-path plan at options.version, one reorder and
@@ -110,12 +114,12 @@ struct CompiledMatrix {
   /// on the plan. An undegraded kChecked artifact keeps its one reorder
   /// in plan.reorders and no format here.
   core::JigsawPlan plan;
-  /// The format an undegraded kChecked artifact executes, in the field
-  /// options.metadata_layout names; the other field stays empty, and both
-  /// do on every other route. Read it through format(). Two fields only
-  /// while the benchmark program still spells them; they fold into one
-  /// member once it reads format().
+  /// Always empty: every artifact's metadata follows its route, and the
+  /// member stays only because the benchmark program still spells it.
   core::JigsawFormat naive_format;
+  /// The format an undegraded kChecked artifact executes, in the §3.4.3
+  /// interleaved layout; empty on every other route. Read it through
+  /// format().
   core::JigsawFormat interleaved_format;
   /// Set when the artifact routes any column off the SpTC path: always
   /// under kHybrid, under kChecked only when the reorder degraded.
@@ -144,10 +148,7 @@ struct CompiledMatrix {
   /// one: jigsaw_select picks among plan.formats per RHS width, and this
   /// returns an empty format.
   const core::JigsawFormat& format() const {
-    if (hybrid.has_value()) return hybrid->format;
-    return options.metadata_layout == core::MetadataLayout::kNaive
-               ? naive_format
-               : interleaved_format;
+    return hybrid.has_value() ? hybrid->format : interleaved_format;
   }
 };
 
@@ -263,9 +264,10 @@ class Engine {
   int worker_count() const { return pool_.size(); }
 
  private:
+  /// Builds the artifact of `resolved` (core::resolve's result).
   [[nodiscard]] Result<std::shared_ptr<CompiledMatrix>> compile_artifact(
-      const DenseMatrix<fp16_t>& a, const EngineOptions& options,
-      ExecutionPolicy policy, const CacheKey& key) const;
+      const DenseMatrix<fp16_t>& a, const EngineOptions& resolved,
+      const CacheKey& key) const;
 
   /// Builds the successor artifact for `update`: incremental panel splice
   /// when the base's plan permits, full recompile fallback otherwise.
@@ -275,9 +277,9 @@ class Engine {
       const std::vector<bool>& row_dirty) const;
 
   /// Shared artifact tail and the one format enforcer: validates every
-  /// format the artifact carries (format(), or plan.formats under kRaw)
-  /// and computes the resident footprint (retaining the operand for
-  /// hybrid/updatable artifacts).
+  /// format the artifact carries (format(), or plan.formats under kRaw),
+  /// computes the resident footprint (retaining the operand for
+  /// hybrid/updatable artifacts) and sets plan_fingerprint.
   [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm,
                                          const DenseMatrix<fp16_t>& a) const;
 
@@ -302,13 +304,12 @@ class Engine {
 /// matrix identity. Exposed for tests.
 std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a);
 
-/// Hash of every option that changes the compiled artifact (policy plus
-/// the compile section; run-section options never affect the artifact).
-/// ReorderOptions::max_threads is excluded — plans are thread-count
-/// invariant — and so is ReorderOptions::tile, which every route
-/// overwrites. Exposed for tests.
-std::uint64_t options_content_hash(const EngineOptions& options,
-                                   ExecutionPolicy resolved_policy);
+/// The cache's options identity: a hash of every leaf of `resolved`
+/// (core::resolve's result) but ReorderOptions::max_threads — plans are
+/// thread-count invariant — and ReorderOptions::tile, which resolve sets
+/// from block_tile. Run options never affect the artifact. Exposed for
+/// tests.
+std::uint64_t options_content_hash(const EngineOptions& resolved);
 
 }  // namespace jigsaw::engine
 

@@ -3,7 +3,9 @@
 // the worker pool. The acceptance contract of the tier:
 //   * a same-content recompile is a cache hit — the same CompiledMatrix
 //     pointer comes back and no second reorder runs (proved through the
-//     obs "reorder.plans" counter);
+//     obs "reorder.plans" counter); two compiles share an entry exactly
+//     when their options resolve equal (core::resolve), and options that
+//     resolve equal build equal artifacts;
 //   * eviction honors the capacity-bytes bound, LRU first;
 //   * concurrent submits are bit-identical to single-thread execution
 //     and allclose to the dense reference (differential-harness sweep);
@@ -12,6 +14,7 @@
 //     stays exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <future>
 #include <string>
@@ -773,22 +776,194 @@ TEST(EngineConcurrency, MixedMatricesInFlightStayIsolated) {
 
 // ---- Options surface ------------------------------------------------------
 
-TEST(EngineOptionsSurface, HashCoversPlanAffectingKnobsOnly) {
-  const EngineOptions base;
-  const std::uint64_t h0 =
-      options_content_hash(base, ExecutionPolicy::kChecked);
+/// Changes leaf `leaf` of `c` away from its value and returns its name, or
+/// returns nullptr past the last leaf. The structured bindings name every
+/// leaf of EngineOptions::Compile, so a new field does not build until it
+/// is listed here.
+const char* change_leaf(EngineOptions::Compile& c, int leaf) {
+  auto& [version, block_tile, reorder, updatable] = c;
+  auto& [tile, search, eviction_limit_per_tile, seed, rescue_attempts,
+         max_threads] = reorder;
+  auto& [block_tile_m] = tile;
+  auto& [bank_conflict_aware] = search;
+  switch (leaf) {
+    case 0:
+      version = version == core::KernelVersion::kV3 ? core::KernelVersion::kV1
+                                                    : core::KernelVersion::kV3;
+      return "version";
+    case 1: block_tile = 32; return "block_tile";
+    case 2: block_tile_m = 16; return "reorder.tile";
+    case 3:
+      bank_conflict_aware = !bank_conflict_aware;
+      return "reorder.search.bank_conflict_aware";
+    case 4:
+      eviction_limit_per_tile = 4;
+      return "reorder.eviction_limit_per_tile";
+    case 5: seed = 99; return "reorder.seed";
+    case 6: rescue_attempts = 0; return "reorder.rescue_attempts";
+    case 7: max_threads = 1; return "reorder.max_threads";
+    case 8: updatable = !updatable; return "updatable";
+    default: return nullptr;
+  }
+}
 
-  EngineOptions reseeded;
-  reseeded.compile.reorder.seed = 7;
-  EXPECT_NE(options_content_hash(reseeded, ExecutionPolicy::kChecked), h0);
+/// The cache key's equality: the resolved options, except that
+/// max_threads never splits the cache (plans are thread-count invariant).
+bool same_key(const EngineOptions& x, const EngineOptions& y) {
+  EngineOptions rx = core::resolve(x), ry = core::resolve(y);
+  rx.compile.reorder.max_threads = ry.compile.reorder.max_threads = 0;
+  return rx == ry;
+}
 
-  EXPECT_NE(options_content_hash(base, ExecutionPolicy::kRaw), h0);
+/// Two artifacts agree on everything a caller reads: the executed formats
+/// byte for byte, the hybrid routing, the identity, size and cost, and the
+/// product at N=32.
+void expect_same_artifact(const Engine& ex, const CompiledMatrix& x,
+                          const Engine& ey, const CompiledMatrix& y) {
+  EXPECT_EQ(x.degraded, y.degraded);
+  EXPECT_EQ(x.plan_fingerprint, y.plan_fingerprint);
+  EXPECT_EQ(x.footprint_bytes, y.footprint_bytes);
+  const auto fx = executed_formats(x), fy = executed_formats(y);
+  ASSERT_EQ(fx.size(), fy.size());
+  for (std::size_t i = 0; i < fx.size(); ++i) {
+    EXPECT_EQ(fx[i]->values(), fy[i]->values());
+    EXPECT_EQ(fx[i]->metadata(), fy[i]->metadata());
+    EXPECT_EQ(fx[i]->col_idx_array(), fy[i]->col_idx_array());
+    EXPECT_EQ(fx[i]->block_col_idx_array(), fy[i]->block_col_idx_array());
+  }
+  ASSERT_EQ(x.hybrid.has_value(), y.hybrid.has_value());
+  if (x.hybrid.has_value()) {
+    ASSERT_EQ(x.hybrid->routing.size(), y.hybrid->routing.size());
+    for (std::size_t p = 0; p < x.hybrid->routing.size(); ++p) {
+      const core::PanelRouting& rx = x.hybrid->routing[p];
+      const core::PanelRouting& ry = y.hybrid->routing[p];
+      EXPECT_EQ(rx.dense_columns, ry.dense_columns);
+      EXPECT_EQ(rx.cuda_columns, ry.cuda_columns);
+      EXPECT_EQ(rx.cuda_nnz, ry.cuda_nnz);
+    }
+  }
+  for (const std::size_t n : {1u, 32u}) {
+    const gpusim::KernelReport cx = ex.cost(x, n), cy = ey.cost(y, n);
+    EXPECT_EQ(cx.name, cy.name) << "n=" << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cx.duration_cycles),
+              std::bit_cast<std::uint64_t>(cy.duration_cycles))
+        << "n=" << n;
+  }
+  const auto b = dlmc::make_rhs(x.cols, 32, 5);
+  auto px = ex.execute(x, b), py = ey.execute(y, b);
+  ASSERT_TRUE(px.ok() && py.ok());
+  EXPECT_TRUE(px.value() == py.value());
+}
 
-  // Thread count never changes the plan, so it must not fragment the
-  // cache.
-  EngineOptions threaded;
-  threaded.compile.reorder.max_threads = 3;
-  EXPECT_EQ(options_content_hash(threaded, ExecutionPolicy::kChecked), h0);
+/// Fingerprints of every reorder the route's builder makes when called
+/// directly with the caller's compile section, as nn, the benches and the
+/// examples call it.
+std::vector<std::uint64_t> direct_build(const DenseMatrix<fp16_t>& a,
+                                        const EngineOptions& options) {
+  std::vector<std::uint64_t> out;
+  switch (core::resolve(options).policy) {
+    case ExecutionPolicy::kRaw:
+      for (const core::ReorderResult& r :
+           core::jigsaw_plan(a, options.compile).reorders) {
+        out.push_back(core::plan_fingerprint(r));
+      }
+      break;
+    case ExecutionPolicy::kHybrid:
+      out.push_back(core::plan_fingerprint(
+          core::hybrid_plan(a, options.compile).reorder));
+      break;
+    default: {
+      const core::CheckedArtifact art =
+          core::checked_compile(a, options.compile);
+      out.push_back(core::plan_fingerprint(
+          art.hybrid.has_value() ? art.hybrid->reorder : art.reorder));
+    }
+  }
+  return out;
+}
+
+TEST(EngineOptionsSurface, CacheSplitsExactlyWhereResolvedOptionsDiffer) {
+  // For each route and each Compile leaf changed alone: two compiles in
+  // one Engine share an entry exactly when core::resolve makes their
+  // options equal (max_threads aside); options that resolve equal build
+  // equal artifacts, through the engine and through the route's builder
+  // called directly; resolve pins exactly the leaves docs/API.md lists for
+  // the route; and resolve is idempotent.
+  struct KeyRoute {
+    const char* name;
+    ExecutionPolicy policy;
+    core::KernelVersion version;
+    std::vector<std::string> pinned;  // the table in docs/API.md
+  };
+  const KeyRoute routes[] = {
+      {"auto", ExecutionPolicy::kAuto, core::KernelVersion::kV4,
+       {"reorder.tile"}},
+      {"checked", ExecutionPolicy::kChecked, core::KernelVersion::kV4,
+       {"reorder.tile"}},
+      {"hybrid", ExecutionPolicy::kHybrid, core::KernelVersion::kV4,
+       {"version", "reorder.tile"}},
+      {"raw-v1", ExecutionPolicy::kRaw, core::KernelVersion::kV1,
+       {"reorder.tile", "reorder.search.bank_conflict_aware"}},
+      {"raw-v4", ExecutionPolicy::kRaw, core::KernelVersion::kV4,
+       {"block_tile", "reorder.tile", "reorder.search.bank_conflict_aware"}},
+  };
+  const DenseMatrix<fp16_t> matrices[] = {sample_lhs(), adversarial_matrix()};
+  std::vector<std::uint64_t> default_hashes;
+  for (const KeyRoute& route : routes) {
+    SCOPED_TRACE(route.name);
+    EngineOptions base;
+    base.policy = route.policy;
+    base.compile.version = route.version;
+    EXPECT_TRUE(core::resolve(core::resolve(base)) == core::resolve(base));
+    default_hashes.push_back(options_content_hash(core::resolve(base)));
+    for (int leaf = 0;; ++leaf) {
+      EngineOptions changed = base;
+      const char* name = change_leaf(changed.compile, leaf);
+      if (name == nullptr) {
+        EXPECT_EQ(leaf, 9);  // one case per leaf change_leaf binds
+        break;
+      }
+      SCOPED_TRACE(name);
+      const EngineOptions resolved = core::resolve(changed);
+      EXPECT_TRUE(core::resolve(resolved) == resolved);
+      const bool pinned = resolved == core::resolve(base);
+      EXPECT_EQ(pinned, std::find(route.pinned.begin(), route.pinned.end(),
+                                  name) != route.pinned.end());
+      const bool shared = same_key(base, changed);
+      EXPECT_EQ(options_content_hash(resolved) ==
+                    options_content_hash(core::resolve(base)),
+                shared);
+
+      for (const DenseMatrix<fp16_t>& a : matrices) {
+        if (shared) {
+          EXPECT_EQ(direct_build(a, base), direct_build(a, changed));
+        }
+        Engine engine;
+        auto first = engine.compile(a, base);
+        auto second = engine.compile(a, changed);
+        if (!first.ok() || !second.ok()) {
+          // kRaw cannot reorder adversarial_matrix(): nothing is cached.
+          if (shared) {
+            EXPECT_EQ(first.status().code(), second.status().code());
+          }
+          continue;
+        }
+        EXPECT_EQ(first.value().get() == second.value().get(), shared);
+        EXPECT_EQ(engine.cache_stats().entries, shared ? 1u : 2u);
+        if (!shared) continue;
+        Engine ex, ey;
+        auto x = ex.compile(a, base);
+        auto y = ey.compile(a, changed);
+        ASSERT_TRUE(x.ok() && y.ok());
+        expect_same_artifact(ex, *x.value(), ey, *y.value());
+      }
+    }
+  }
+  // kAuto is kChecked; every other route keys apart.
+  EXPECT_EQ(default_hashes[0], default_hashes[1]);
+  std::sort(default_hashes.begin() + 1, default_hashes.end());
+  EXPECT_EQ(std::unique(default_hashes.begin() + 1, default_hashes.end()),
+            default_hashes.end());
 }
 
 TEST(EngineOptionsSurface, MatrixHashIsContentBased) {
