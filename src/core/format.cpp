@@ -19,21 +19,6 @@ constexpr std::size_t kMetaWordsPerPair = sptc::kTileRows;
 
 }  // namespace
 
-std::size_t JigsawFormat::pair_metadata_index(std::uint32_t panel,
-                                              std::uint32_t slice,
-                                              std::uint32_t pair) const {
-  std::size_t base = 0;
-  for (std::uint32_t p = 0; p < panel; ++p) {
-    base += static_cast<std::size_t>(panels_[p].mma_pairs()) *
-            static_cast<std::size_t>(row_slices_per_panel()) *
-            kMetaWordsPerPair;
-  }
-  const std::uint32_t pairs = panels_[panel].mma_pairs();
-  JIGSAW_ASSERT(pair < pairs);
-  return base + (static_cast<std::size_t>(slice) * pairs + pair) *
-                    kMetaWordsPerPair;
-}
-
 void JigsawFormat::append_panel(const DenseMatrix<fp16_t>& a,
                                 const PanelReorder& panel, std::size_t p) {
   const int slices = row_slices_per_panel();
@@ -194,6 +179,13 @@ JigsawFormat JigsawFormat::rebuild_panels(
   f.cols_ = cols_;
   f.tile_ = tile_;
   f.layout_ = layout_;
+  // A splice keeps most panels, so the successor is about this size.
+  f.panels_.reserve(panels_.size());
+  f.tiles_.reserve(tiles_.size());
+  f.col_idx_.reserve(col_idx_.size());
+  f.block_col_idx_.reserve(block_col_idx_.size());
+  f.values_.reserve(values_.size());
+  f.metadata_.reserve(metadata_.size());
 
   // Running cursors into this (old) format's flat arrays: clean panels'
   // segments are copied verbatim, dirty panels' old segments are skipped
@@ -307,15 +299,10 @@ std::uint32_t JigsawFormat::block_col_idx(std::uint32_t panel,
                         pos];
 }
 
-namespace {
-
-/// Metadata word of row `r` of `pair`, whose slice's words start at
-/// `slice_meta`. Undoes the §3.4.3 interleave: each aligned group of two
-/// pairs stores 32 lane-indexed words; an orphan final pair and the naive
-/// layout store 16 words per pair.
-std::uint32_t pair_metadata_word(const std::uint32_t* slice_meta,
-                                 MetadataLayout layout, std::uint32_t pairs,
-                                 std::uint32_t pair, int r) {
+std::uint32_t JigsawFormat::pair_metadata_word(const std::uint32_t* slice_meta,
+                                               MetadataLayout layout,
+                                               std::uint32_t pairs,
+                                               std::uint32_t pair, int r) {
   if (layout == MetadataLayout::kNaive || (pair == pairs - 1 && pairs % 2)) {
     return slice_meta[pair * kMetaWordsPerPair + static_cast<std::size_t>(r)];
   }
@@ -323,8 +310,6 @@ std::uint32_t pair_metadata_word(const std::uint32_t* slice_meta,
   return slice_meta[(pair & ~1u) * kMetaWordsPerPair +
                     static_cast<std::size_t>(lane)];
 }
-
-}  // namespace
 
 sptc::CompressedTile JigsawFormat::load_compressed_tile(
     std::uint32_t panel, std::uint32_t slice, std::uint32_t pair) const {

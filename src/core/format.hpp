@@ -101,8 +101,8 @@ class JigsawFormat {
   /// Flat-array bases of one panel's segments: where its values,
   /// metadata words and block_col_idx entries start. The plain accessors
   /// walk the panel headers on every call (O(panel)); the execute path
-  /// fills the bases of every panel once per call and decodes through
-  /// them in O(1).
+  /// and the cost walk fill the bases of every panel once per call and
+  /// read through them in O(1).
   struct PanelBases {
     std::size_t values = 0;         ///< into values()
     std::size_t metadata = 0;       ///< into metadata()
@@ -198,8 +198,14 @@ class JigsawFormat {
   /// Advances `bases` past `panel`'s segments.
   void skip_panel(std::uint32_t panel, PanelBases& bases) const;
   PanelBases bases_of(std::uint32_t panel) const;  ///< O(panel) walk
-  std::size_t pair_metadata_index(std::uint32_t panel, std::uint32_t slice,
-                                  std::uint32_t pair) const;
+  /// Metadata word of row `r` of `pair`, whose slice's words start at
+  /// `slice_meta`. Undoes the §3.4.3 interleave: each aligned group of two
+  /// pairs stores 32 lane-indexed words; an orphan final pair and the
+  /// naive layout store 16 words per pair.
+  static std::uint32_t pair_metadata_word(const std::uint32_t* slice_meta,
+                                          MetadataLayout layout,
+                                          std::uint32_t pairs,
+                                          std::uint32_t pair, int r);
 
   /// Appends one panel's header, indices, compressed values, and metadata
   /// (interleaving the metadata in place under kInterleaved). Shared by

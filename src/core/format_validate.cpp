@@ -2,7 +2,9 @@
 // execution tier. Every rule here mirrors an assumption some accessor or
 // the kernel makes implicitly; a format that passes cannot make
 // load_compressed_tile, block_col_idx or jigsaw_compute read out of
-// bounds or feed mma.sp an illegal metadata encoding.
+// bounds or feed mma.sp an illegal metadata encoding. Each check is one
+// sweep over the arrays it reads, so validate() is linear in the format's
+// size.
 #include <sstream>
 #include <vector>
 
@@ -163,20 +165,27 @@ Status JigsawFormat::validate() const {
 
   // ---- Metadata words: decode through the same path the kernel uses
   // (undoing the §3.4.3 interleaved layout where it applies) and check
-  // the per-group encoding.
-  for (std::uint32_t p = 0; p < panels_.size(); ++p) {
-    const std::uint32_t panel_pairs = panels_[p].mma_pairs();
-    for (std::uint32_t s = 0; s < slices; ++s) {
+  // the per-group encoding. A word is reported by its naive-layout flat
+  // index: the panel's base, then (slice, pair, row). The base runs across
+  // panels; the size check above keeps every read in bounds.
+  const std::size_t words_per_pair = metadata_words_per_pair();
+  std::size_t panel_base = 0;
+  for (const PanelHeader& ph : panels_) {
+    const std::uint32_t panel_pairs = ph.mma_pairs();
+    for (std::size_t s = 0; s < slices; ++s) {
+      const std::size_t slice_base =
+          panel_base + s * panel_pairs * words_per_pair;
       for (std::uint32_t pair = 0; pair < panel_pairs; ++pair) {
-        const sptc::CompressedTile tile = load_compressed_tile(p, s, pair);
         for (int r = 0; r < sptc::kTileRows; ++r) {
-          const std::size_t where =
-              pair_metadata_index(p, s, pair) + static_cast<std::size_t>(r);
+          const std::uint32_t word = pair_metadata_word(
+              metadata_.data() + slice_base, layout_, panel_pairs, pair, r);
           JIGSAW_RETURN_IF_ERROR(check_metadata_word(
-              tile.metadata[static_cast<std::size_t>(r)], where));
+              word, slice_base + pair * words_per_pair +
+                        static_cast<std::size_t>(r)));
         }
       }
     }
+    panel_base += slices * panel_pairs * words_per_pair;
   }
   return Status::Ok();
 }

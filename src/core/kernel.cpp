@@ -301,10 +301,14 @@ struct PanelWalk {
 };
 
 PanelWalk walk_panel(const JigsawFormat& f, std::uint32_t p,
+                     const JigsawFormat::PanelBases& bases,
                      const KernelFeatures& feats, const JigsawTuning& tuning,
                      const gpusim::ArchSpec& arch) {
   const JigsawFormat::PanelHeader& panel = f.panels()[p];
   const int slices = f.row_slices_per_panel();
+  // This panel's permutations: kMmaTile entries per (slice, tile).
+  const std::uint32_t* block_col_idx =
+      f.block_col_idx_array().data() + bases.block_col_idx;
   const std::uint32_t pairs = panel.mma_pairs();
   const std::uint32_t row_stride_halfs =
       kBlockTileN + (feats.padded_smem ? kSmemRowPadHalfs : 0);
@@ -356,8 +360,9 @@ PanelWalk walk_panel(const JigsawFormat& f, std::uint32_t p,
             2 * pair + static_cast<std::uint32_t>(l / kMmaTile);
         std::uint32_t pos;
         if (t < panel.tile_count) {
-          pos = f.block_col_idx(p, static_cast<std::uint32_t>(s), t,
-                                static_cast<std::uint32_t>(l % kMmaTile));
+          const std::size_t perm =
+              (static_cast<std::size_t>(s) * panel.tile_count + t) * kMmaTile;
+          pos = block_col_idx[perm + static_cast<std::size_t>(l % kMmaTile)];
         } else {
           pos = static_cast<std::uint32_t>(l % kMmaTile);
         }
@@ -433,9 +438,13 @@ std::vector<PanelWalk> compute_panel_walks(const JigsawFormat& f,
                                            const gpusim::ArchSpec& arch) {
   // jigsaw-lint: allow(hot-path-alloc): cold cost-walk scratch, one per query
   std::vector<PanelWalk> walks(f.panels().size());
+  // jigsaw-lint: allow(hot-path-alloc): cold cost-walk scratch, one per query
+  std::vector<JigsawFormat::PanelBases> bases(f.panels().size());
+  f.panel_bases(bases);
   parallel_for(static_cast<std::int64_t>(walks.size()), [&](std::int64_t p) {
-    walks[static_cast<std::size_t>(p)] = walk_panel(
-        f, static_cast<std::uint32_t>(p), feats, tuning, arch);
+    const auto i = static_cast<std::size_t>(p);
+    walks[i] = walk_panel(f, static_cast<std::uint32_t>(p), bases[i], feats,
+                          tuning, arch);
   });
   return walks;
 }

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <mutex>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "matrix/csr.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -21,7 +21,7 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// Per-panel column bitmask table: one 16-bit nonzero-row mask per
-/// (original column, 16-row slice), extracted once from the CSR pattern.
+/// (original column, 16-row slice), extracted once from the panel's rows.
 /// Indexed by original column id, so reorder-retry moves never invalidate
 /// it — this replaces the dense-array rescans the planner used to do per
 /// window attempt.
@@ -35,18 +35,36 @@ struct PanelMasks {
   }
 };
 
-void build_panel_masks(const CsrMatrix& csr, std::size_t row_begin,
+/// Reads only rows [row_begin, row_end) of `a`. An entry is live when it
+/// is not ±0 (fp16_t::is_zero), the predicate the format build and the
+/// kernel use too.
+void build_panel_masks(const DenseMatrix<fp16_t>& a, std::size_t row_begin,
                        std::size_t row_end, int slices, PanelMasks& pm) {
+  // Four entries per 64-bit word; a word whose entries are all ±0 is
+  // skipped without testing them one by one.
+  constexpr std::size_t kWord = sizeof(std::uint64_t) / sizeof(fp16_t);
+  constexpr std::uint64_t kMagnitudeBits = 0x7fff7fff7fff7fffull;
+  const std::size_t cols = a.cols();
+  const auto stride = static_cast<std::size_t>(slices);
   pm.slices = slices;
-  pm.words.assign(csr.cols() * static_cast<std::size_t>(slices), 0);
+  pm.words.assign(cols * stride, 0);
   for (std::size_t r = row_begin; r < row_end; ++r) {
     const std::size_t local_row = r - row_begin;
     const std::uint16_t bit =
         static_cast<std::uint16_t>(1u << (local_row % kMmaTile));
-    const std::size_t s = local_row / kMmaTile;
-    for (const std::uint32_t c : csr.row_cols(r)) {
-      pm.words[static_cast<std::size_t>(c) * static_cast<std::size_t>(slices) +
-               s] |= bit;
+    std::uint16_t* masks = pm.words.data() + local_row / kMmaTile;
+    const fp16_t* row = a.data() + r * cols;
+    std::size_t c = 0;
+    for (; c + kWord <= cols; c += kWord) {
+      std::uint64_t w;
+      std::memcpy(&w, row + c, sizeof w);
+      if ((w & kMagnitudeBits) == 0) continue;
+      for (std::size_t j = c; j < c + kWord; ++j) {
+        if (!row[j].is_zero()) masks[j * stride] |= bit;
+      }
+    }
+    for (; c < cols; ++c) {
+      if (!row[c].is_zero()) masks[c * stride] |= bit;
     }
   }
 }
@@ -217,29 +235,29 @@ std::array<std::uint16_t, kMmaTile> slice_column_masks(
 namespace {
 
 // Plans panel `p` exactly as one iteration of the full multi-granularity
-// pass: mask extraction from the CSR pattern, the ascending live-column
+// pass: mask extraction from the panel's rows, the ascending live-column
 // plan, and the shuffled rescue re-plans. Every RNG seed derives from
 // (options.seed, p) — the true panel index, never a loop counter — so a
 // single panel can be re-planned in isolation bit-identically to the
 // corresponding panel of a from-scratch plan. The incremental update path
 // (reorder_panels) depends on exactly that property.
-PanelReorder plan_panel_at(const CsrMatrix& csr, std::size_t rows,
-                           std::size_t total_cols,
+PanelReorder plan_panel_at(const DenseMatrix<fp16_t>& a,
                            const ReorderOptions& options,
                            const ColumnFilter& column_filter, std::size_t p,
                            int row_slices, std::uint32_t limit,
                            PlanStats& local) {
   JIGSAW_TRACE_SCOPE("reorder", "reorder.panel");
   const std::size_t bt = static_cast<std::size_t>(options.tile.block_tile_m);
+  const std::size_t total_cols = a.cols();
   const std::size_t row_begin = p * bt;
-  const std::size_t row_end = std::min(row_begin + bt, rows);
+  const std::size_t row_end = std::min(row_begin + bt, a.rows());
 
   const auto t_masks = Clock::now();
   PanelMasks pm;
-  build_panel_masks(csr, row_begin, row_end, row_slices, pm);
+  build_panel_masks(a, row_begin, row_end, row_slices, pm);
   std::vector<std::uint32_t> live;
-  live.reserve(csr.cols());
-  for (std::uint32_t c = 0; c < csr.cols(); ++c) {
+  live.reserve(total_cols);
+  for (std::uint32_t c = 0; c < total_cols; ++c) {
     if (column_filter && !column_filter(p, c)) {
       continue;  // routed to another compute unit (hybrid extension)
     }
@@ -316,10 +334,8 @@ ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
   result.rows = a.rows();
   result.cols = a.cols();
 
-  // One sparse pass over the matrix; every per-panel mask table is built
-  // from the CSR pattern instead of rescanning the dense array.
-  const CsrMatrix csr = CsrMatrix::from_dense(a);
-
+  // Each panel builds its mask table from its own rows, so every element
+  // of A is read once per plan.
   const std::size_t bt = static_cast<std::size_t>(options.tile.block_tile_m);
   const int row_slices = options.tile.row_tiles_per_panel();
   const std::size_t num_panels = (a.rows() + bt - 1) / bt;
@@ -336,9 +352,8 @@ ReorderResult multi_granularity_reorder(const DenseMatrix<fp16_t>& a,
       [&](std::int64_t pi) {
         const std::size_t p = static_cast<std::size_t>(pi);
         PlanStats local;
-        result.panels[p] =
-            plan_panel_at(csr, a.rows(), a.cols(), options, column_filter, p,
-                          row_slices, limit, local);
+        result.panels[p] = plan_panel_at(a, options, column_filter, p,
+                                         row_slices, limit, local);
         std::lock_guard<std::mutex> lock(stats_mu);
         total.merge(local);
       },
@@ -375,7 +390,7 @@ void reorder_panels(const DenseMatrix<fp16_t>& a,
   }
   if (panels.empty()) return;
 
-  const CsrMatrix csr = CsrMatrix::from_dense(a);
+  // Only the listed panels' rows of A are read.
   const std::uint32_t limit =
       static_cast<std::uint32_t>(round_up(a.cols(), kMmaTile));
 
@@ -387,9 +402,8 @@ void reorder_panels(const DenseMatrix<fp16_t>& a,
       [&](std::int64_t i) {
         const std::size_t p = panels[static_cast<std::size_t>(i)];
         PlanStats local;
-        result.panels[p] =
-            plan_panel_at(csr, a.rows(), a.cols(), options, column_filter, p,
-                          row_slices, limit, local);
+        result.panels[p] = plan_panel_at(a, options, column_filter, p,
+                                         row_slices, limit, local);
         std::lock_guard<std::mutex> lock(stats_mu);
         total.merge(local);
       },

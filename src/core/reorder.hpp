@@ -15,11 +15,12 @@
 // grew beyond the original (16-aligned) column count and no severe retry
 // (tail splitting) was needed.
 //
-// Planner fast path: per-panel column bitmasks are extracted once from a
-// CSR pass (instead of rescanning the dense array per window and retry),
-// and every tile search enumerates its quads from those masks. Nothing is
-// memoized across tile searches or plans; for a fixed seed the plans are
-// bit-identical to the pre-fast-path planner's.
+// Planner fast path: each panel extracts its column bitmasks once from its
+// own rows of A (instead of rescanning the dense array per window and
+// retry), and every tile search enumerates its quads from those masks. A
+// re-plan of some panels reads only their rows. Nothing is memoized across
+// tile searches or plans; for a fixed seed the plans are bit-identical to
+// the pre-fast-path planner's.
 #pragma once
 
 #include <array>

@@ -1,7 +1,9 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <string>
 #include <utility>
@@ -25,6 +27,24 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
     h ^= (v >> (8 * i)) & 0xffu;
     h *= kFnvPrime;
   }
+}
+
+// xxHash64's primes.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+
+/// xxHash64's round: a bijection of `lane` for a fixed word and of `word`
+/// for a fixed lane, so one changed word always changes its lane.
+std::uint64_t hash_round(std::uint64_t lane, std::uint64_t word) {
+  return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+/// Folds one more 64-bit value into a finished lane sum; a bijection of
+/// `h` for a fixed value.
+std::uint64_t hash_fold(std::uint64_t h, std::uint64_t v) {
+  return std::rotl(h ^ hash_round(0, v), 27) * kPrime1 + kPrime4;
 }
 
 void apply_epilogue(DenseMatrix<float>& c, const core::Epilogue& epilogue) {
@@ -71,17 +91,45 @@ bool any_candidate_reordered(const core::JigsawPlan& plan) {
 }  // namespace
 
 std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, a.rows());
-  fnv_mix(h, a.cols());
+  // Four independent lanes over the 8-byte words of the payload (four
+  // entries each), so the multiplies of neighbouring words overlap. Every
+  // step after a word's round is a bijection of the state, so changing
+  // any one entry, ±0 included, changes the hash.
+  constexpr std::size_t kEntriesPerWord = sizeof(std::uint64_t) /
+                                          sizeof(fp16_t);
   const fp16_t* data = a.data();
   const std::size_t n = a.rows() * a.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i].bits() & 0xffu;
-    h *= kFnvPrime;
-    h ^= (data[i].bits() >> 8) & 0xffu;
-    h *= kFnvPrime;
+  const std::size_t words = n / kEntriesPerWord;
+  const auto word = [data](std::size_t w) {
+    std::uint64_t v;
+    std::memcpy(&v, data + w * kEntriesPerWord, sizeof v);
+    return v;
+  };
+  std::uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      lane[i] = hash_round(lane[i], word(w + i));
+    }
   }
+  for (std::size_t i = 0; w + i < words; ++i) {
+    lane[i] = hash_round(lane[i], word(w + i));
+  }
+  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+                    std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  h = hash_fold(h, a.rows());
+  h = hash_fold(h, a.cols());
+  std::uint64_t tail = 0;  // the last n % 4 entries
+  for (std::size_t i = words * kEntriesPerWord; i < n; ++i) {
+    tail = (tail << 16) | data[i].bits();
+  }
+  h = hash_fold(h, tail);
+  // xxHash64's avalanche.
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -196,7 +244,13 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
     return Status(StatusCode::kInternal,
                   std::string("compile raised: ") + e.what());
   }
-  Status finalized = finalize_artifact(*cm, a);
+  if (cm->hybrid.has_value() || cm->options.updatable) {
+    // The hybrid pipes read their columns from the original operand, and
+    // Engine::update applies deltas against it: either way the artifact
+    // keeps its own copy.
+    cm->lhs = a;
+  }
+  Status finalized = finalize_artifact(*cm);
   if (!finalized.ok()) return finalized;
   if (cm->options.updatable) {
     // Fresh lineage cell with this generation-0 artifact as its head. A
@@ -213,8 +267,7 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::compile_artifact(
   return cm;
 }
 
-Status Engine::finalize_artifact(CompiledMatrix& cm,
-                                 const DenseMatrix<fp16_t>& a) const {
+Status Engine::finalize_artifact(CompiledMatrix& cm) const {
   // Every format the artifact carries is validated here, once, and
   // charged against the cache bound. It carries exactly what its route
   // executes: the kRaw candidates jigsaw_select picks among, otherwise
@@ -239,13 +292,9 @@ Status Engine::finalize_artifact(CompiledMatrix& cm,
                sizeof(std::uint32_t);
     }
   }
-  if (cm.hybrid.has_value() || cm.options.updatable) {
-    // The hybrid pipes read their columns from the original operand, and
-    // Engine::update applies deltas against it — either way the operand
-    // stays resident with the artifact and is charged to the cache.
-    cm.lhs = a;
-    bytes += a.rows() * a.cols() * sizeof(fp16_t);
-  }
+  // A retained operand (hybrid or updatable) stays resident with the
+  // artifact and is charged to the cache.
+  bytes += cm.lhs.size() * sizeof(fp16_t);
   cm.footprint_bytes = bytes;
 
   // Every SpTC route carries at least one reorder; the kRaw V4 candidates
@@ -263,7 +312,7 @@ Status Engine::finalize_artifact(CompiledMatrix& cm,
 }
 
 Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
-    const CompiledMatrix& base, const DenseMatrix<fp16_t>& a2,
+    const CompiledMatrix& base, DenseMatrix<fp16_t> a2,
     const std::vector<bool>& row_dirty) const {
   const EngineOptions resolved{base.policy, base.options};
   const CacheKey key{matrix_content_hash(a2), base.options_hash};
@@ -341,7 +390,10 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
     return Status(StatusCode::kInternal,
                   std::string("update raised: ") + e.what());
   }
-  Status finalized = finalize_artifact(*cm, a2);
+  // a2 is read for the last time above: the new generation takes it as
+  // its retained operand instead of a second copy.
+  cm->lhs = std::move(a2);
+  Status finalized = finalize_artifact(*cm);
   if (!finalized.ok()) return finalized;
   // jigsaw-lint: allow(obs-name): named after the serving API surface
   // (engine.update), not an obs subsystem.
@@ -402,7 +454,7 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
     return base;
   }
 
-  auto rebuilt = update_artifact(*base, a2, row_dirty);
+  auto rebuilt = update_artifact(*base, std::move(a2), row_dirty);
   if (!rebuilt.ok()) {
     // jigsaw-lint: allow(obs-name): named after the serving API surface
     // (engine.update), not an obs subsystem.

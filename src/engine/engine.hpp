@@ -93,7 +93,7 @@ struct Lineage;
 /// reads and nothing more (see plan and format()). Shared read-only
 /// across worker threads.
 struct CompiledMatrix {
-  std::uint64_t matrix_hash = 0;   ///< FNV-1a of the operand content
+  std::uint64_t matrix_hash = 0;   ///< matrix_content_hash of the operand
   /// options_content_hash of the resolved options (core::resolve).
   std::uint64_t options_hash = 0;
   /// Identity of the reorder output: core::plan_fingerprint of the one
@@ -273,15 +273,15 @@ class Engine {
   /// when the base's plan permits, full recompile fallback otherwise.
   /// Generation/lineage stamping happens in update().
   [[nodiscard]] Result<std::shared_ptr<CompiledMatrix>> update_artifact(
-      const CompiledMatrix& base, const DenseMatrix<fp16_t>& a2,
+      const CompiledMatrix& base, DenseMatrix<fp16_t> a2,
       const std::vector<bool>& row_dirty) const;
 
   /// Shared artifact tail and the one format enforcer: validates every
   /// format the artifact carries (format(), or plan.formats under kRaw),
-  /// computes the resident footprint (retaining the operand for
-  /// hybrid/updatable artifacts) and sets plan_fingerprint.
-  [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm,
-                                         const DenseMatrix<fp16_t>& a) const;
+  /// computes the resident footprint (charging the operand a
+  /// hybrid/updatable artifact retains in lhs, which the caller stores
+  /// first) and sets plan_fingerprint.
+  [[nodiscard]] Status finalize_artifact(CompiledMatrix& cm) const;
 
   /// Makes `head` its lineage's strongly owned head, and retires every
   /// lineage nothing outside heads_ can reach any more: its head is held
@@ -300,8 +300,10 @@ class Engine {
   ThreadPool pool_;
 };
 
-/// Content hash (FNV-1a over shape and element bits) — the cache's
-/// matrix identity. Exposed for tests.
+/// Content hash over shape and element bits (four xxHash64-style lanes
+/// over 8-byte words), the cache's matrix identity. Any one changed entry,
+/// ±0 included, changes it. Nothing persists it, so its values may change
+/// between versions. Exposed for tests.
 std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a);
 
 /// The cache's options identity: a hash of every leaf of `resolved`

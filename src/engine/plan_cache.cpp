@@ -18,9 +18,9 @@ PlanCache::PlanCache(std::size_t capacity_bytes, int shards) {
 }
 
 std::uint64_t PlanCache::mix(const CacheKey& key) {
-  // splitmix64 finalizer over the xor of the two halves: cheap and enough
-  // to spread shard selection and bucket placement independently of the
-  // FNV structure of the inputs.
+  // splitmix64 finalizer over the xor of the two halves: cheap, and it
+  // spreads shard selection and bucket placement whatever the structure
+  // of the two input hashes.
   std::uint64_t x = key.matrix_hash ^ (key.options_hash * 0x9e3779b97f4a7c15ull);
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "matrix/dense.hpp"
@@ -34,13 +33,6 @@ class CsrMatrix {
   std::uint32_t row_nnz(std::size_t r) const {
     JIGSAW_ASSERT(r < rows_);
     return row_offsets_[r + 1] - row_offsets_[r];
-  }
-
-  /// Column indices of row r, ascending.
-  std::span<const std::uint32_t> row_cols(std::size_t r) const {
-    JIGSAW_ASSERT(r < rows_);
-    return {col_indices_.data() + row_offsets_[r],
-            static_cast<std::size_t>(row_offsets_[r + 1] - row_offsets_[r])};
   }
 
   /// Bytes of the CSR representation (values + indices + offsets).

@@ -85,6 +85,15 @@ FormatSurgeon::FormatSurgeon(const DenseMatrix<fp16_t>& a, int block_tile,
 FormatSurgeon::FormatSurgeon(core::JigsawFormat format)
     : format_(std::move(format)) {}
 
+core::JigsawFormat FormatSurgeon::with_metadata_word(
+    std::size_t index, std::uint32_t word) const {
+  JIGSAW_CHECK_MSG(index < format_.metadata_.size(),
+                   "metadata word " << index << " out of range");
+  core::JigsawFormat f = format_;
+  f.metadata_[index] = word;
+  return f;
+}
+
 std::string FormatSurgeon::blob() const {
   std::ostringstream os(std::ios::binary);
   core::save_format(format_, os);

@@ -75,6 +75,11 @@ class FormatSurgeon {
   /// classes only; JIGSAW_CHECK otherwise).
   core::JigsawFormat corrupt(CorruptionClass c, std::uint64_t seed = 1) const;
 
+  /// A copy of the format whose metadata word at flat `index` (into
+  /// metadata()) holds `word` instead.
+  core::JigsawFormat with_metadata_word(std::size_t index,
+                                        std::uint32_t word) const;
+
   /// The serialized image with one corruption of `c` applied. In-memory
   /// classes are corrupted first and re-serialized (with fresh, valid
   /// checksums, so the structural validator — not the CRC — is what must

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "matrix/vector_sparse.hpp"
+#include "testing/fault_injection.hpp"
 
 namespace jigsaw::core {
 namespace {
@@ -190,6 +193,68 @@ TEST(Format, CompressionShrinksDenseStorage) {
   const double dense_bytes = 2.0 * 256 * 512;
   EXPECT_LT(static_cast<double>(f.memory_footprint().total()),
             0.6 * dense_bytes);
+}
+
+/// Every row holds two of every four consecutive columns, so 2:4 holds in
+/// the identity order and each panel keeps all `cols` columns: its pair
+/// count is ceil(cols / 32).
+DenseMatrix<fp16_t> checkerboard(std::size_t rows, std::size_t cols) {
+  DenseMatrix<fp16_t> a(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = r % 2; c < cols; c += 2) a(r, c) = fp16_t(1.5f);
+  }
+  return a;
+}
+
+TEST(FormatValidate, NamesABadMetadataWordInTheLastPanelByItsFlatIndex) {
+  // 256 rows at BLOCK_TILE 32 are eight panels of two slices. With 96
+  // columns a panel has three pairs, so its last pair is an orphan; with
+  // 64 it has two, and the last pair is interleaved with the one before.
+  using jigsaw::testing::FormatSurgeon;
+  for (const std::size_t cols : {std::size_t{96}, std::size_t{64}}) {
+    const DenseMatrix<fp16_t> a = checkerboard(256, cols);
+    for (const MetadataLayout layout :
+         {MetadataLayout::kNaive, MetadataLayout::kInterleaved}) {
+      SCOPED_TRACE("cols " + std::to_string(cols) + ", layout " +
+                   std::to_string(static_cast<int>(layout)));
+      const FormatSurgeon surgeon(a, 32, layout);
+      const JigsawFormat& f = surgeon.format();
+      ASSERT_TRUE(f.validate().ok());
+      ASSERT_EQ(f.panels().size(), 8u);
+      const std::size_t slices = f.row_slices_per_panel();
+      const std::size_t words = f.metadata_words_per_pair();
+      // The naive-layout flat index of (last panel, last slice, last
+      // pair, row r), from the panel headers alone.
+      std::size_t panel_base = 0;
+      for (std::size_t p = 0; p + 1 < f.panels().size(); ++p) {
+        panel_base += f.panels()[p].mma_pairs() * slices * words;
+      }
+      const std::uint32_t pairs = f.panels().back().mma_pairs();
+      ASSERT_EQ(pairs, cols == 96 ? 3u : 2u);
+      const std::uint32_t pair = pairs - 1;
+      const bool interleaved =
+          layout == MetadataLayout::kInterleaved && pairs % 2 == 0;
+      const std::size_t slice_base =
+          panel_base + (slices - 1) * pairs * words;
+      for (const int r : {0, 9, 15}) {
+        const std::size_t where =
+            slice_base + pair * words + static_cast<std::size_t>(r);
+        // Where row r's word of that pair is stored (§3.4.3).
+        const std::size_t stored =
+            interleaved
+                ? slice_base + (pair & ~1u) * words +
+                      static_cast<std::size_t>(
+                          sptc::metadata_owner_lane(r, pair & 1u))
+                : where;
+        const Status s = surgeon.with_metadata_word(stored, 0).validate();
+        EXPECT_EQ(s.code(), StatusCode::kInvalidFormat);
+        EXPECT_NE(s.message().find("metadata word " + std::to_string(where) +
+                                   " group 0 "),
+                  std::string::npos)
+            << "row " << r << ": " << s.message();
+      }
+    }
+  }
 }
 
 }  // namespace
