@@ -9,11 +9,16 @@
 //   bench_cost_walk  the simulator alone: one jigsaw_cost per candidate
 //                    (three under V4), what a plan's first run at a width
 //                    pays before it computes.
+//   bench_epilogue   the fused write-back's share: jigsaw_compute_into
+//                    into a preallocated output at v:4, sp:90, with no
+//                    epilogue (none), bias then ReLU (bias_relu) and bias
+//                    then GELU (bias_gelu).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -37,13 +42,19 @@ core::JigsawPlan plan_for(const benchmark::State& state) {
                            popts);
 }
 
-void bench_spmm(benchmark::State& state) {
-  const auto plan = plan_for(state);
+/// The RHS every series multiplies.
+DenseMatrix<fp16_t> make_rhs() {
   DenseMatrix<fp16_t> b(kShape.k, kN);
   Rng rng(mix_seed(7, 0xb0b));
   for (std::size_t i = 0; i < b.size(); ++i) {
     b.data()[i] = fp16_t(rng.uniform(-1.0f, 1.0f));
   }
+  return b;
+}
+
+void bench_spmm(benchmark::State& state) {
+  const auto plan = plan_for(state);
+  const DenseMatrix<fp16_t> b = make_rhs();
 
   const gpusim::CostModel cm;
   core::JigsawRunResult last;
@@ -68,6 +79,29 @@ void bench_cost_walk(benchmark::State& state) {
     }
   }
   state.counters["candidates"] = static_cast<double>(plan.formats.size());
+}
+
+void bench_epilogue(benchmark::State& state,
+                    core::Epilogue::Activation activation, bool with_bias) {
+  const core::JigsawPlan plan =
+      core::jigsaw_plan(dlmc::make_lhs(kShape, 0.9, 4).values(), {});
+  const DenseMatrix<fp16_t> b = make_rhs();
+  const core::JigsawFormat& f =
+      plan.formats[core::jigsaw_select(plan, kN, gpusim::CostModel{}).index];
+  std::vector<float> bias(kShape.m);
+  Rng rng(mix_seed(7, 0xb1a5));
+  for (float& v : bias) v = rng.uniform(-1.0f, 1.0f);
+  const core::Epilogue epilogue{.activation = activation,
+                                .bias = with_bias ? &bias : nullptr};
+
+  DenseMatrix<float> c(kShape.m, kN);
+  for (auto _ : state) {
+    core::jigsaw_compute_into(f, b, c, epilogue);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kShape.m * kN));
 }
 
 }  // namespace
@@ -109,6 +143,16 @@ int main(int argc, char** argv) {
     } else {
       args.push_back(argv[i]);
     }
+  }
+  using Activation = jigsaw::core::Epilogue::Activation;
+  for (const auto& [name, activation, bias] :
+       {std::tuple{"none", Activation::kNone, false},
+        std::tuple{"bias_relu", Activation::kRelu, true},
+        std::tuple{"bias_gelu", Activation::kGelu, true}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("jigsaw::bench_epilogue/") + name).c_str(),
+        jigsaw::bench_epilogue, activation, bias)
+        ->Unit(benchmark::kMillisecond);
   }
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());

@@ -1,7 +1,7 @@
 // Global operator new/delete replacement with an allocation counter.
 //
-// Lives in one TU together with heap_allocation_count() so that a static
-// link referencing the accessor also pulls in the replaced operators
+// Lives in one TU together with the two accessors so that a static link
+// referencing either also pulls in the replaced operators
 // (and a binary that never asks for the count keeps the default heap).
 // malloc-backed so the sanitizer interceptors still see every block.
 #include "common/alloc_count.hpp"
@@ -13,15 +13,20 @@
 namespace {
 
 constinit std::atomic<std::uint64_t> g_heap_allocations{0};
+// Constant-initialized and trivially destructible, so operator new can
+// touch it on any thread at any time without a TLS guard.
+constinit thread_local std::uint64_t t_heap_allocations = 0;
 
 void* counted_alloc(std::size_t size) noexcept {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_allocations;
   if (size == 0) size = 1;
   return std::malloc(size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) noexcept {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_allocations;
   if (size == 0) size = 1;
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
@@ -38,6 +43,8 @@ namespace jigsaw {
 std::uint64_t heap_allocation_count() {
   return g_heap_allocations.load(std::memory_order_relaxed);
 }
+
+std::uint64_t thread_heap_allocation_count() { return t_heap_allocations; }
 
 }  // namespace jigsaw
 

@@ -1,28 +1,11 @@
 #include "common/fp16.hpp"
 
-#include <cstring>
 #include <ostream>
 
 namespace jigsaw {
 
-namespace {
-
-std::uint32_t float_bits(float v) {
-  std::uint32_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
-
-float bits_float(std::uint32_t u) {
-  float v;
-  std::memcpy(&v, &u, sizeof(v));
-  return v;
-}
-
-}  // namespace
-
 std::uint16_t fp16_t::float_to_bits(float v) {
-  const std::uint32_t f = float_bits(v);
+  const auto f = std::bit_cast<std::uint32_t>(v);
   const std::uint32_t sign = (f >> 16) & 0x8000u;
   const std::uint32_t abs = f & 0x7fffffffu;
 
@@ -56,39 +39,7 @@ std::uint16_t fp16_t::float_to_bits(float v) {
     return static_cast<std::uint16_t>(sign | result);
   }
 
-  // Normal half. Re-bias exponent (127 -> 15) and round mantissa RNE.
-  const std::uint32_t exp = ((abs >> 23) - 112u) << 10;
-  const std::uint32_t mant = (abs >> 13) & 0x03ffu;
-  const std::uint32_t remainder = abs & 0x1fffu;
-  std::uint32_t result = exp | mant;
-  if (remainder > 0x1000u || (remainder == 0x1000u && (result & 1u))) {
-    ++result;  // Carry propagates into the exponent correctly.
-  }
-  return static_cast<std::uint16_t>(sign | result);
-}
-
-float fp16_t::bits_to_float(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1fu;
-  const std::uint32_t mant = h & 0x3ffu;
-
-  if (exp == 0) {
-    if (mant == 0) return bits_float(sign);  // +/- 0
-    // Subnormal: normalize by shifting the mantissa up.
-    std::uint32_t m = mant;
-    std::uint32_t e = 113;  // biased fp32 exponent for 2^-14 with shift below
-    while ((m & 0x400u) == 0) {
-      m <<= 1;
-      --e;
-    }
-    m &= 0x3ffu;
-    return bits_float(sign | (e << 23) | (m << 13));
-  }
-  if (exp == 0x1f) {
-    // Inf / NaN.
-    return bits_float(sign | 0x7f800000u | (mant << 13));
-  }
-  return bits_float(sign | ((exp + 112u) << 23) | (mant << 13));
+  return normal_to_bits(f);
 }
 
 std::ostream& operator<<(std::ostream& os, fp16_t v) {

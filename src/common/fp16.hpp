@@ -3,9 +3,13 @@
 // The Jigsaw kernels compute in fp16 with fp32 accumulation, matching the
 // behaviour of Ampere tensor-core HMMA with float accumulators. This type
 // stores the 16-bit pattern and converts to/from float with
-// round-to-nearest-even, the rounding mode the hardware uses.
+// round-to-nearest-even, the rounding mode the hardware uses. Both
+// conversions are inline where the execute path meets them: half to float
+// always, float to half for results in the normal half range (the rest
+// goes through float_to_bits).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 
@@ -18,7 +22,7 @@ class fp16_t {
  public:
   constexpr fp16_t() = default;
   /// Converts from float with round-to-nearest-even (ties to even).
-  explicit fp16_t(float v) : bits_(float_to_bits(v)) {}
+  explicit fp16_t(float v) : bits_(round_to_bits(v)) {}
 
   /// Reinterprets a raw 16-bit pattern as an fp16 value.
   static constexpr fp16_t from_bits(std::uint16_t bits) {
@@ -28,7 +32,23 @@ class fp16_t {
   }
 
   /// Converts to float (exact: every binary16 value is representable).
-  explicit operator float() const { return bits_to_float(bits_); }
+  /// The magnitude's exponent and mantissa move up 13 bits and the
+  /// exponent is rebiased by 112; Inf/NaN rebias once more to 255, and
+  /// zero and subnormals are normalized by an exact float subtract.
+  explicit operator float() const {
+    constexpr std::uint32_t kExpMask = 0x7c00u << 13;
+    std::uint32_t o = (std::uint32_t{bits_} & 0x7fffu) << 13;
+    const std::uint32_t exp = o & kExpMask;
+    o += 112u << 23;
+    if (exp == kExpMask) {
+      o += 112u << 23;
+    } else if (exp == 0) {
+      o += 1u << 23;
+      o = std::bit_cast<std::uint32_t>(std::bit_cast<float>(o) -
+                                       std::bit_cast<float>(113u << 23));
+    }
+    return std::bit_cast<float>(o | (std::uint32_t{bits_} & 0x8000u) << 16);
+  }
 
   constexpr std::uint16_t bits() const { return bits_; }
 
@@ -42,10 +62,37 @@ class fp16_t {
   }
   friend constexpr bool operator!=(fp16_t a, fp16_t b) { return !(a == b); }
 
+  /// Round-to-nearest-even conversion of any float, out of line.
   static std::uint16_t float_to_bits(float v);
-  static float bits_to_float(std::uint16_t bits);
 
  private:
+  /// True when |v| (the float bits `f`) lies in [2^-14, 65520), so the
+  /// result is a normal half.
+  static constexpr bool rounds_to_normal(std::uint32_t f) {
+    return (f & 0x7fffffffu) - 0x38800000u < 0x477ff000u - 0x38800000u;
+  }
+  /// The normal-range conversion: rebias the exponent (127 -> 15), then
+  /// round the 13 dropped mantissa bits to nearest even; a carry moves
+  /// into the exponent correctly. The round-up test has no branch: its
+  /// outcome follows the data, so a branch would be mispredicted.
+  static constexpr std::uint16_t normal_to_bits(std::uint32_t f) {
+    const std::uint32_t sign = (f >> 16) & 0x8000u;
+    const std::uint32_t abs = f & 0x7fffffffu;
+    const std::uint32_t result =
+        (((abs >> 23) - 112u) << 10) | ((abs >> 13) & 0x03ffu);
+    const std::uint32_t remainder = abs & 0x1fffu;
+    const std::uint32_t round_up =
+        std::uint32_t{remainder > 0x1000u} |
+        (std::uint32_t{remainder == 0x1000u} & result);
+    return static_cast<std::uint16_t>(sign | (result + (round_up & 1u)));
+  }
+  /// float_to_bits with the normal range taken inline; zero, subnormals,
+  /// overflow, Inf and NaN go out of line.
+  static std::uint16_t round_to_bits(float v) {
+    const auto f = std::bit_cast<std::uint32_t>(v);
+    return rounds_to_normal(f) ? normal_to_bits(f) : float_to_bits(v);
+  }
+
   std::uint16_t bits_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -382,15 +383,27 @@ void JigsawFormat::decode_nonzero_slots(std::uint32_t panel,
       metadata_.data() + bases.metadata +
       static_cast<std::size_t>(slice) * pairs * kMetaWordsPerPair;
   constexpr std::size_t kHalf = kValuesPerPair / 2;
+  // Bit i of the result: half i of the four at `h` is not ±0. Adding
+  // 0x7fff to a lane's magnitude carries into its bit 15 exactly when the
+  // magnitude is nonzero (never into the next lane), and the multiply
+  // gathers bits 0, 16, 32 and 48 of the shifted word into bits 48-51.
+  static_assert(std::endian::native == std::endian::little);
+  const auto nonzero4 = [](const fp16_t* h) {
+    std::uint64_t w;
+    std::memcpy(&w, h, sizeof(w));
+    w = ((w & 0x7fff7fff7fff7fffull) + 0x7fff7fff7fff7fffull) &
+        0x8000800080008000ull;
+    return static_cast<std::uint32_t>(((w >> 15) * 0x0001000200040008ull) >>
+                                      48);
+  };
   std::uint16_t n = 0;
   for (int r = 0; r < sptc::kTileRows; ++r) {
     out.row_begin[static_cast<std::size_t>(r)] = n;
     const fp16_t* row = tile_values + static_cast<std::size_t>(r) * 8;
-    std::uint32_t mask = 0;  // bit cc: slot cc is not ±0
-    for (std::uint32_t c = 0; c < 8; ++c) {
-      mask |= std::uint32_t{!row[c].is_zero()} << c;
-      mask |= std::uint32_t{!row[kHalf + c].is_zero()} << (c + 8);
-    }
+    // Bit cc: slot cc is not ±0.
+    std::uint32_t mask = nonzero4(row) | nonzero4(row + 4) << 4 |
+                         nonzero4(row + kHalf) << 8 |
+                         nonzero4(row + kHalf + 4) << 12;
     if (mask == 0) continue;
     const std::uint32_t word =
         pair_metadata_word(slice_meta, layout_, pairs, pair, r);

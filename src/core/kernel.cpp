@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
@@ -111,26 +113,151 @@ JigsawPlan jigsaw_plan(const DenseMatrix<fp16_t>& a,
   return plan;
 }
 
-float Epilogue::apply(float x, std::size_t row) const {
-  if (bias != nullptr) {
-    JIGSAW_ASSERT(row < bias->size());
-    x += (*bias)[row];
+namespace {
+
+// Four float lanes in one SSE register (GCC and Clang vector extensions),
+// and their bit patterns. Same-size vectors reinterpret with bit_cast.
+typedef float V4f __attribute__((vector_size(16)));
+typedef std::int32_t V4i __attribute__((vector_size(16)));
+typedef std::uint32_t V4u __attribute__((vector_size(16)));
+
+V4f load4(const float* p) {
+  V4f v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void store4(float* p, V4f v) { std::memcpy(p, &v, sizeof(v)); }
+
+V4i bits_of(V4f v) { return std::bit_cast<V4i>(v); }
+V4f float_of(V4i v) { return std::bit_cast<V4f>(v); }
+V4f splat(float v) { return V4f{v, v, v, v}; }
+V4i splat(std::int32_t v) { return V4i{v, v, v, v}; }
+
+/// The lanes of `a` where `mask` is all ones, of `b` where it is zero.
+V4i pick(V4i mask, V4i a, V4i b) { return (a & mask) | (b & ~mask); }
+V4f pick(V4i mask, V4f a, V4f b) {
+  return float_of(pick(mask, bits_of(a), bits_of(b)));
+}
+
+/// Adds the integer k to the exponent of each lane of y.
+V4f scale_by_2k(V4f y, V4i k) {
+  return std::bit_cast<V4f>(std::bit_cast<V4u>(y) +
+                            (std::bit_cast<V4u>(k) << 23));
+}
+
+/// fdlibm's expm1f (glibc 2.36's s_expm1f.c) on the arguments tanh_lanes
+/// passes: [2, 44), (-2, -2^-54] and +0. Every branch runs in every lane
+/// with fdlibm's operations in fdlibm's order; the lane's k then picks
+/// one. fdlibm's k = 1 branch is left out: it needs an argument in
+/// (0.5 ln2, 1.5 ln2), which tanh never passes.
+V4f expm1_lanes(V4f x) {
+  constexpr float kLn2Hi = std::bit_cast<float>(0x3f317180u);
+  constexpr float kLn2Lo = std::bit_cast<float>(0x3717f7d1u);
+  constexpr float kInvLn2 = std::bit_cast<float>(0x3fb8aa3bu);
+  constexpr float kQ1 = std::bit_cast<float>(0xbd088889u);
+  constexpr float kQ2 = std::bit_cast<float>(0x3ad00d01u);
+  constexpr float kQ3 = std::bit_cast<float>(0xb8a670cdu);
+  constexpr float kQ4 = std::bit_cast<float>(0x36867e54u);
+  constexpr float kQ5 = std::bit_cast<float>(0xb457edbbu);
+
+  const V4i hx = bits_of(x) & 0x7fffffff;
+  const V4i neg = bits_of(x) < 0;
+  // Argument reduction, x = k ln2 + (hi - lo): k = +-1 below 1.5 ln2,
+  // else the truncated quotient; up to 0.5 ln2, k = 0 and x stays.
+  const V4i reduce = hx > 0x3eb17218;
+  const V4i near = hx < 0x3f851592;
+  const V4i kq = __builtin_convertvector(
+      kInvLn2 * x + pick(neg, splat(-0.5f), splat(0.5f)), V4i);
+  const V4f tq = __builtin_convertvector(kq, V4f);
+  const V4i k = pick(near, pick(neg, splat(-1), splat(1)), kq) & reduce;
+  const V4f hi = pick(reduce,
+                      pick(near, x - pick(neg, splat(-kLn2Hi), splat(kLn2Hi)),
+                           x - tq * kLn2Hi),
+                      x);
+  const V4f lo = float_of(
+      bits_of(pick(near, pick(neg, splat(-kLn2Lo), splat(kLn2Lo)),
+                   tq * kLn2Lo)) &
+      reduce);
+  const V4f r = hi - lo;  // x itself when not reduced
+  const V4f c = (hi - r) - lo;
+
+  // r is in the primary range.
+  const V4f hfx = 0.5f * r;
+  const V4f hxs = r * hfx;
+  const V4f r1 =
+      1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const V4f t = 3.0f - r1 * hfx;
+  V4f e = hxs * ((r1 - t) / (6.0f - r * t));
+  const V4f y_k0 = r - (r * e - hxs);
+  e = r * (e - c) - c;
+  e -= hxs;
+  const V4f y_km1 = 0.5f * (r - e) - 0.5f;
+  const V4f y_far = scale_by_2k(1.0f - (e - r), k) - 1.0f;
+  // 2^-k from its exponent bits; 1 - 2^-k is exact for k < 23.
+  const V4f two_mk = float_of((splat(0x7f) - k) << 23);
+  const V4f y_lt23 = scale_by_2k((1.0f - two_mk) - (e - r), k);
+  const V4f y_ge23 = scale_by_2k((r - (e + two_mk)) + 1.0f, k);
+
+  V4f y = pick(k < 23, y_lt23, y_ge23);
+  y = pick((k <= -2) | (k > 56), y_far, y);
+  y = pick(k == -1, y_km1, y);
+  y = pick(k == 0, y_k0, y);
+  return pick(hx < 0x33000000, x, y);  // |x| < 2^-25: x
+}
+
+/// fdlibm's tanhf (glibc 2.36's s_tanhf.c) on four lanes, branch free.
+V4f tanh_lanes(V4f x) {
+  const V4i jx = bits_of(x);
+  const V4i ix = jx & 0x7fffffff;
+  const V4i ge1 = ix >= 0x3f800000;
+  // 2^-55 <= |x| < 22 reads expm1; the other lanes pass it +0.
+  const V4i mid = (ix >= 0x24000000) & (ix < 0x41b00000);
+  const V4f two_ax = 2.0f * float_of(ix);
+  const V4f t =
+      expm1_lanes(float_of(bits_of(pick(ge1, two_ax, -two_ax)) & mid));
+  const V4f d = t + 2.0f;
+  V4f z = pick(ge1, 1.0f - 2.0f / d, -t / d);
+  z = pick(ix >= 0x41b00000, splat(1.0f - 1e-30f), z);  // |x| >= 22
+  V4f y = float_of(bits_of(z) ^ (jx & splat(INT32_MIN)));  // x < 0: -z
+  // |x| < 2^-55: x * (1 + x), which is x itself at +-0.
+  y = pick(ix < 0x24000000, x * (1.0f + x), y);
+  const V4f inv = 1.0f / x;
+  return pick(ix >= 0x7f800000, pick(jx < 0, inv - 1.0f, inv + 1.0f), y);
+}
+
+/// The epilogue on four values of output row `row`: bias (only when set,
+/// so -0 stays -0), then the activation.
+V4f apply_lanes(const Epilogue& epilogue, V4f x, std::size_t row) {
+  if (epilogue.bias != nullptr) {
+    JIGSAW_ASSERT(row < epilogue.bias->size());
+    x += (*epilogue.bias)[row];
   }
-  switch (activation) {
-    case Activation::kNone:
+  switch (epilogue.activation) {
+    case Epilogue::Activation::kNone:
       break;
-    case Activation::kRelu:
-      x = x > 0.0f ? x : 0.0f;
+    case Epilogue::Activation::kRelu:
+      x = pick(x > 0.0f, x, splat(0.0f));
       break;
-    case Activation::kGelu: {
+    case Epilogue::Activation::kGelu: {
       // tanh approximation, the form inference kernels fuse.
-      const float u =
-          0.7978845608f * (x + 0.044715f * x * x * x);
-      x = 0.5f * x * (1.0f + std::tanh(u));
+      const V4f u = 0.7978845608f * (x + 0.044715f * x * x * x);
+      x = 0.5f * x * (1.0f + tanh_lanes(u));
       break;
     }
   }
   return x;
+}
+
+}  // namespace
+
+std::array<float, 4> tanh4(const std::array<float, 4>& x) {
+  return std::bit_cast<std::array<float, 4>>(
+      tanh_lanes(std::bit_cast<V4f>(x)));
+}
+
+float Epilogue::apply(float x, std::size_t row) const {
+  return apply_lanes(*this, V4f{x, 0.0f, 0.0f, 0.0f}, row)[0];
 }
 
 namespace {
@@ -141,8 +268,30 @@ namespace {
 /// decodes every tile once (bench_spmm numbers in docs/PERFORMANCE.md).
 constexpr std::size_t kMaxPanelCols = 256;
 /// Accumulator columns a row keeps in registers while its nonzero slots
-/// stream past: four SSE (two AVX) registers. Wider blocks spill on SSE.
-constexpr std::size_t kLanes = 16;
+/// stream past: eight 4-float vectors, which stay in SSE registers (a
+/// float array of this width spills to the stack). A remainder of at
+/// least half as many columns takes a half block.
+constexpr std::size_t kLanes = 32;
+
+/// Adds slots [first, last) of one row into kVecs * 4 accumulators at
+/// `acc`, held in kVecs vector locals; `b` is the staged RHS at the
+/// block's first column and `ldb` its row stride. Each element still
+/// takes its terms in slot order.
+template <std::size_t kVecs>
+void accumulate_lanes(float* acc, const JigsawFormat::NonzeroSlots& slots,
+                      std::size_t first, std::size_t last, const float* b,
+                      std::size_t ldb) {
+  V4f lane[kVecs];
+  for (std::size_t v = 0; v < kVecs; ++v) lane[v] = load4(acc + 4 * v);
+  for (std::size_t i = first; i < last; ++i) {
+    const float av = slots.value[i];
+    const float* brow = b + std::size_t{slots.b_row[i]} * ldb;
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      lane[v] += av * load4(brow + 4 * v);
+    }
+  }
+  for (std::size_t v = 0; v < kVecs; ++v) store4(acc + 4 * v, lane[v]);
+}
 
 }  // namespace
 
@@ -157,6 +306,10 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
                    "output shape mismatch: got " << c.rows() << "x" << c.cols()
                                                  << ", want " << f.rows()
                                                  << "x" << b.cols());
+  JIGSAW_CHECK_MSG(
+      epilogue.bias == nullptr || epilogue.bias->size() == f.rows(),
+      "epilogue bias length " << epilogue.bias->size() << " vs A rows "
+                              << f.rows());
   const std::size_t m = f.rows(), n = b.cols(), k = f.cols();
   const int bt = f.tile_config().block_tile_m;
   const int slices = f.row_slices_per_panel();
@@ -232,8 +385,8 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
           // identical to the scalar kernel, so results are bitwise equal.
           // Each row's slots stream past kLanes accumulators held in
           // registers, so a slot costs its B row, not a load and store of
-          // the accumulator row; the last nw % kLanes columns take the
-          // same terms one slot at a time.
+          // the accumulator row; a remainder of kLanes / 2 or more takes a
+          // half block, and the rest the same terms one slot at a time.
           for (std::size_t r = 0; r < kMmaTile; ++r) {
             float* arow = acc + r * nw;
             const std::size_t first = slots.row_begin[r];
@@ -241,17 +394,13 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
             if (first == last) continue;
             std::size_t j0 = 0;
             for (; j0 + kLanes <= nw; j0 += kLanes) {
-              float lane[kLanes];
-              std::copy_n(arow + j0, kLanes, lane);
-              for (std::size_t i = first; i < last; ++i) {
-                const float av = slots.value[i];
-                const float* brow =
-                    bf + std::size_t{slots.b_row[i]} * n + n0 + j0;
-                for (std::size_t j = 0; j < kLanes; ++j) {
-                  lane[j] += av * brow[j];
-                }
-              }
-              std::copy_n(lane, kLanes, arow + j0);
+              accumulate_lanes<kLanes / 4>(arow + j0, slots, first, last,
+                                           bf + n0 + j0, n);
+            }
+            if (j0 + kLanes / 2 <= nw) {
+              accumulate_lanes<kLanes / 8>(arow + j0, slots, first, last,
+                                           bf + n0 + j0, n);
+              j0 += kLanes / 2;
             }
             for (std::size_t i = first; i < last && j0 < nw; ++i) {
               const float av = slots.value[i];
@@ -264,16 +413,20 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
           }
         }
 
+        // Write-back through the fused epilogue, four columns at a time;
+        // the last nw % 4 take apply, which computes the same lanes.
         for (std::size_t r = 0; r < mrows; ++r) {
           float* crow = c.data() + (row0 + r) * n + n0;
           const float* arow = acc + r * nw;
-          if (epilogue.active()) {
-            for (std::size_t j = 0; j < nw; ++j) {
-              crow[j] = epilogue.apply(arow[j], row0 + r);
-            }
-          } else {
-            for (std::size_t j = 0; j < nw; ++j) crow[j] = arow[j];
+          if (!epilogue.active()) {
+            std::copy(arow, arow + nw, crow);
+            continue;
           }
+          std::size_t j = 0;
+          for (; j + 4 <= nw; j += 4) {
+            store4(crow + j, apply_lanes(epilogue, load4(arow + j), row0 + r));
+          }
+          for (; j < nw; ++j) crow[j] = epilogue.apply(arow[j], row0 + r);
         }
       }
     }

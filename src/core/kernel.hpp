@@ -171,6 +171,12 @@ void jigsaw_compute_into(const JigsawFormat& format,
                          const Epilogue& epilogue = {},
                          std::size_t panel_cols = 0);
 
+/// tanh of four floats, lane by lane: a branch-free port of fdlibm's
+/// tanhf and expm1f, bitwise equal to glibc 2.36's tanhf on every input
+/// (NaNs compared as NaN). The GELU epilogue's one tanh, so products do
+/// not depend on the host's libm.
+std::array<float, 4> tanh4(const std::array<float, 4>& x);
+
 /// Cost walk only: simulated report for one format at one kernel version.
 gpusim::KernelReport jigsaw_cost(const JigsawFormat& format, std::size_t n,
                                  KernelVersion version,

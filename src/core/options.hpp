@@ -61,12 +61,17 @@ struct JigsawTuning {
 /// write-back — the standard inference pattern C = act(A x B + bias).
 /// Fusing it is free bandwidth-wise (C is already in registers); the cost
 /// walk charges only the extra CUDA-core ops and the bias vector load.
+/// GELU is the tanh form; its tanh is the library's own (core::tanh4),
+/// bitwise equal to glibc 2.36's tanhf, so products do not depend on the
+/// host's libm.
 struct Epilogue {
   enum class Activation : std::uint8_t { kNone, kRelu, kGelu };
   Activation activation = Activation::kNone;
-  /// Optional per-output-row bias (length M). The pointee must outlive
-  /// every execution using this epilogue — for Engine::submit that means
-  /// until the returned future is ready.
+  /// Optional per-output-row bias (length M; Engine::execute returns
+  /// kInvalidArgument and jigsaw_compute_into throws on any other
+  /// length). The pointee must outlive every execution using this
+  /// epilogue — for Engine::submit that means until the returned future
+  /// is ready.
   const std::vector<float>* bias = nullptr;
 
   bool active() const {

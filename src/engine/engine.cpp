@@ -537,6 +537,13 @@ Result<DenseMatrix<float>> Engine::execute(
                       std::to_string(handle.cols) + " vs B rows " +
                       std::to_string(b.rows()));
   }
+  if (run.epilogue.bias != nullptr &&
+      run.epilogue.bias->size() != handle.rows) {
+    return Status(StatusCode::kInvalidArgument,
+                  "epilogue bias length " +
+                      std::to_string(run.epilogue.bias->size()) +
+                      " vs compiled A rows " + std::to_string(handle.rows));
+  }
   try {
     DenseMatrix<float> c(0, 0);
     if (handle.hybrid.has_value()) {
@@ -548,10 +555,13 @@ Result<DenseMatrix<float>> Engine::execute(
       // format, kRaw the candidate jigsaw_select picks for this RHS width
       // (memoized on the plan, so only the first request at a width
       // walks, and before the window opens). Pre-size the output, then
-      // count heap traffic across the kernel proper. On a warmed-up
-      // worker (arena grown, pool caches primed) the delta is zero — the
-      // regression test in test_engine.cpp pins that down for both
-      // routes. The hybrid pipes allocate their tiles and stay outside.
+      // count this thread's heap traffic across the kernel proper (its
+      // OpenMP body allocates nothing; other threads' allocations are not
+      // the request's). On a warmed-up worker (arena grown, pool caches
+      // primed) the delta is zero — the regression tests in
+      // test_engine.cpp pin that down for both routes and beside a busy
+      // neighbour thread. The hybrid pipes allocate their tiles and stay
+      // outside.
       const core::JigsawFormat* format = &handle.format();
       if (handle.policy == ExecutionPolicy::kRaw) {
         const core::JigsawSelection chosen = core::jigsaw_select(
@@ -559,10 +569,10 @@ Result<DenseMatrix<float>> Engine::execute(
         format = &handle.plan.formats[chosen.index];
       }
       c = DenseMatrix<float>(handle.rows, b.cols());
-      const std::uint64_t heap_before = heap_allocation_count();
+      const std::uint64_t heap_before = thread_heap_allocation_count();
       core::jigsaw_compute_into(*format, b, c, run.epilogue);
       const std::uint64_t heap_delta =
-          heap_allocation_count() - heap_before;
+          thread_heap_allocation_count() - heap_before;
       // Cached reference: a registry lookup hashes the name and may
       // itself allocate, which would poison the window on the next call.
       static obs::Counter& submit_allocs =

@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <future>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -333,8 +335,9 @@ TEST(EnginePolicy, CheckedPolicyDegradesTheSameFaultAndStaysExact) {
 
 TEST(CheckedRun, RejectsBadArguments) {
   // Under kChecked every argument check is Engine's: an empty A, a
-  // BLOCK_TILE outside {16, 32, 64} and a B whose rows miss A's columns
-  // come back as typed kInvalidArgument.
+  // BLOCK_TILE outside {16, 32, 64}, a B whose rows miss A's columns and
+  // an epilogue bias whose length misses A's rows (on the hybrid route
+  // too) come back as typed kInvalidArgument.
   const DenseMatrix<fp16_t> a(32, 32);
   Engine engine;
   EngineOptions options;
@@ -347,6 +350,25 @@ TEST(CheckedRun, RejectsBadArguments) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  EngineOptions hybrid = options;
+  hybrid.policy = ExecutionPolicy::kHybrid;
+  auto hybrid_compiled = engine.compile(a, hybrid);
+  ASSERT_TRUE(hybrid_compiled.ok()) << hybrid_compiled.status().to_string();
+  ASSERT_TRUE(hybrid_compiled.value()->hybrid.has_value());
+  const auto rhs = dlmc::make_rhs(32, 8, 1);
+  for (const auto& handle : {compiled.value(), hybrid_compiled.value()}) {
+    for (const std::size_t len : {a.rows() - 1, a.rows() + 1}) {
+      const std::vector<float> bias(len, 1.0f);
+      EngineOptions::Run run;
+      run.epilogue.bias = &bias;
+      EXPECT_EQ(engine.execute(*handle, rhs, run).status().code(),
+                StatusCode::kInvalidArgument)
+          << core::to_string(handle->policy) << " bias length " << len;
+      EXPECT_EQ(engine.submit(handle, rhs, run).get().status().code(),
+                StatusCode::kInvalidArgument)
+          << core::to_string(handle->policy) << " bias length " << len;
+    }
+  }
   options.compile.block_tile = 24;
   EXPECT_EQ(engine.compile(a, options).status().code(),
             StatusCode::kInvalidArgument);
@@ -695,6 +717,53 @@ TEST(EngineSteadyState, WarmedUpSubmitsAllocateNothing) {
         << "steady-state submits performed " << delta << " heap allocations";
     obs::set_metrics_enabled(false);
   }
+}
+
+TEST(EngineSteadyState, NeighbourAllocationsStayOutOfTheWindow) {
+  // The window counts the worker's own allocations: another thread that
+  // allocates all through the warm submits must leave the delta at 0.
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  EngineConfig config;
+  config.worker_threads = 1;
+  Engine engine(config);
+  const auto a = lhs_for({128, 256, 80, 4, 22});
+  const auto b = dlmc::make_rhs(256, 64, 7);
+  auto compiled = engine.compile(a);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.submit(compiled.value(), b).get().ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> neighbour_allocations{0};
+  std::thread neighbour([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      // A direct call, which the compiler may not elide as it may a
+      // new-expression.
+      ::operator delete(::operator new(64));
+      neighbour_allocations.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (neighbour_allocations.load() < 1000) std::this_thread::yield();
+
+  const double before = counter_value("jigsaw.engine.submit.allocations");
+  const std::uint64_t neighbour_before = neighbour_allocations.load();
+  for (int i = 0; i < 20; ++i) {
+    auto result = engine.submit(compiled.value(), b).get();
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+  }
+  const std::uint64_t neighbour_during =
+      neighbour_allocations.load() - neighbour_before;
+  const double delta =
+      counter_value("jigsaw.engine.submit.allocations") - before;
+  stop = true;
+  neighbour.join();
+  obs::set_metrics_enabled(false);
+  EXPECT_GT(neighbour_during, 0u);
+  EXPECT_EQ(delta, 0.0) << "the window charged " << delta
+                        << " of the neighbour's " << neighbour_during
+                        << " allocations to the submits";
 }
 
 TEST(EngineSteadyState, AllocationCounterTracksColdSubmits) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -44,6 +45,83 @@ TEST(Fp16, RoundTripAllBitPatterns) {
     if (std::isnan(f)) continue;  // NaN payloads need not round-trip
     const fp16_t back(f);
     EXPECT_EQ(back.bits(), h.bits()) << "bits=" << bits;
+  }
+}
+
+float half_value(std::uint32_t bits) {
+  return static_cast<float>(
+      fp16_t::from_bits(static_cast<std::uint16_t>(bits)));
+}
+
+TEST(Fp16, ToFloatMatchesArithmeticOnEveryHalf) {
+  // The value each pattern encodes, computed in double with ldexp.
+  for (std::uint32_t bits = 0; bits <= 0xffffu; ++bits) {
+    const std::uint32_t sign = bits >> 15, exp = (bits >> 10) & 0x1fu;
+    const std::uint32_t mant = bits & 0x3ffu;
+    const float got = half_value(bits);
+    std::uint32_t want;
+    if (exp == 0x1f) {  // Inf, or NaN with the payload moved up 13 bits
+      want = sign << 31 | 0x7f800000u | mant << 13;
+    } else {
+      const double magnitude =
+          exp == 0 ? std::ldexp(static_cast<double>(mant), -24)
+                   : std::ldexp(static_cast<double>(1024 + mant),
+                                static_cast<int>(exp) - 25);
+      want = std::bit_cast<std::uint32_t>(
+          static_cast<float>(sign != 0 ? -magnitude : magnitude));
+    }
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got), want) << "bits=" << bits;
+  }
+}
+
+/// fp16_t(v)'s expected value for a non-NaN v: |v| rounded to a multiple
+/// of its binade's half quantum (2^-24 below 2^-14), ties to even, in
+/// double; a result of 2^16 or more is Inf.
+double rounded_to_half(float v) {
+  if (std::isinf(v)) return v;
+  const double a = std::fabs(static_cast<double>(v));
+  int e = 0;
+  (void)std::frexp(a, &e);  // a in [2^(e-1), 2^e)
+  const double quantum = a < 0x1p-14 ? 0x1p-24 : std::ldexp(1.0, e - 11);
+  double r = std::nearbyint(a / quantum) * quantum;
+  if (r >= 0x1p16) r = std::numeric_limits<double>::infinity();
+  return std::signbit(v) ? -r : r;
+}
+
+void expect_rounds_like_arithmetic(float v) {
+  const fp16_t h(v);
+  const double want = rounded_to_half(v);
+  const float got = static_cast<float>(h);
+  ASSERT_EQ(static_cast<double>(got), want)
+      << "v=0x" << std::hex << std::bit_cast<std::uint32_t>(v);
+  ASSERT_EQ(std::signbit(got), std::signbit(v))
+      << "v=0x" << std::hex << std::bit_cast<std::uint32_t>(v);
+}
+
+TEST(Fp16, FromFloatMatchesArithmeticOnAStridedSweep) {
+  // Every 4099th pattern, so each binade and sign is sampled densely.
+  for (std::uint64_t u = 0; u <= 0xffffffffull; u += 4099) {
+    const float v = std::bit_cast<float>(static_cast<std::uint32_t>(u));
+    if (std::isnan(v)) {
+      ASSERT_TRUE(std::isnan(static_cast<float>(fp16_t(v)))) << u;
+      continue;
+    }
+    expect_rounds_like_arithmetic(v);
+  }
+}
+
+TEST(Fp16, FromFloatMatchesArithmeticAtEveryRoundingBoundary) {
+  // Each midpoint between neighbouring finite halves (the last one is the
+  // overflow threshold 65520), and the floats on either side of it.
+  for (std::uint32_t bits = 0; bits < 0x7c00u; ++bits) {
+    const double lo = half_value(bits);
+    const double hi = bits + 1 < 0x7c00u ? half_value(bits + 1) : 65536.0;
+    const auto mid = static_cast<float>((lo + hi) / 2);  // exact
+    for (const float v :
+         {std::nextafter(mid, 0.0f), mid, std::nextafter(mid, 1e9f)}) {
+      expect_rounds_like_arithmetic(v);
+      expect_rounds_like_arithmetic(-v);
+    }
   }
 }
 

@@ -394,8 +394,9 @@ TEST_F(CandidateMemo, EvictsTheOldestChoiceWhenFull) {
 // interleaved metadata layout of that candidate's reorder, N = 1, 32, 200,
 // then no epilogue and a bias+GELU epilogue, each output row-major.
 // The hashes are of x86-64 builds without FMA contraction (the tier-1 and
-// CI platform); a fused multiply-add or another libm tanh gives other
-// bits, so other targets skip.
+// CI platform); a fused multiply-add gives other bits, so other targets
+// skip. GELU's tanh is the library's own (core::tanh4), so the host's libm
+// does not enter.
 
 struct GoldenCase {
   std::size_t m, k;
