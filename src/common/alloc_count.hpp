@@ -6,7 +6,7 @@
 // engine brackets the kernel execution window with two reads of the
 // calling thread's count and publishes the delta as the
 // `jigsaw.engine.submit.allocations` counter; the steady-state regression
-// test asserts the delta is zero once the per-worker arenas are warm
+// test asserts the delta is zero once the worker's kernel scratch is warm
 // (docs/PERFORMANCE.md).
 //
 // The process count is global across all threads: a window measured with
@@ -14,7 +14,7 @@
 // (client threads, other workers, the tracer), so it suits only tests
 // that own the whole process. The thread count sees only the calling
 // thread. That covers the kernel window: the kernel's OpenMP body
-// allocates nothing (stack buffers and the caller's arena).
+// allocates nothing (stack buffers and the caller's kernel scratch).
 #pragma once
 
 #include <cstdint>

@@ -21,13 +21,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/thread_annotations.hpp"
-
-#if defined(JIGSAW_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace jigsaw {
 
@@ -49,15 +44,6 @@ void parallel_for(std::int64_t n, Fn&& fn, int max_threads = 0) {
 #else
   (void)max_threads;
   for (std::int64_t i = 0; i < n; ++i) fn(i);
-#endif
-}
-
-/// Number of worker threads parallel_for will use.
-inline int parallel_workers() {
-#if defined(JIGSAW_HAVE_OPENMP)
-  return omp_get_max_threads();
-#else
-  return 1;
 #endif
 }
 
@@ -96,12 +82,6 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Tasks queued but not yet started (diagnostic; racy by nature).
-  std::size_t queued() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return queue_.size();
-  }
-
   /// Enqueues fn() and returns the future of its result.
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<std::decay_t<Fn>>> {
@@ -120,12 +100,6 @@ class ThreadPool {
 
  private:
   void worker_loop() EXCLUDES(mu_) {
-    // Each worker owns a scratch arena for its whole lifetime and
-    // installs it so every task it runs (engine submits in particular)
-    // draws kernel scratch from it: the first request grows it, later
-    // same-shape requests allocate nothing (common/arena.hpp).
-    Arena arena;
-    ScopedArenaInstall install(arena);
     for (;;) {
       std::function<void()> task;
       {
@@ -145,7 +119,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
-  mutable Mutex mu_;
+  Mutex mu_;
   std::condition_variable_any cv_;
   bool stopping_ GUARDED_BY(mu_) = false;
 };

@@ -8,8 +8,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
@@ -293,11 +294,29 @@ void accumulate_lanes(float* acc, const JigsawFormat::NonzeroSlots& slots,
   for (std::size_t v = 0; v < kVecs; ++v) store4(acc + 4 * v, lane[v]);
 }
 
+/// jigsaw_compute_into's two scratch arrays, one set per thread and freed
+/// at thread exit. Each grows to the largest call its thread has made and
+/// never shrinks, so a warmed-up thread computes without touching the
+/// heap.
+struct KernelScratch {
+  // jigsaw-lint: allow(hot-path-alloc): grows to this thread's largest call
+  std::vector<float> rhs;
+  // jigsaw-lint: allow(hot-path-alloc): grows to this thread's largest call
+  std::vector<JigsawFormat::PanelBases> bases;
+};
+
+/// The calling thread's scratch. jigsaw_compute_into is never re-entered
+/// on one thread (its parallel_for bodies do not call it); a nested call
+/// would reuse, and overwrite, the outer call's buffers.
+KernelScratch& kernel_scratch() {
+  thread_local KernelScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
-                         DenseMatrix<float>& c, const Epilogue& epilogue,
-                         std::size_t panel_cols) {
+                         DenseMatrix<float>& c, const Epilogue& epilogue) {
   JIGSAW_TRACE_SCOPE("kernel", "kernel.compute");
   JIGSAW_CHECK_MSG(f.cols() == b.rows(), "SpMM shape mismatch: A cols "
                                              << f.cols() << " vs B rows "
@@ -314,22 +333,21 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
   const int bt = f.tile_config().block_tile_m;
   const int slices = f.row_slices_per_panel();
   const std::size_t num_panels = f.panels().size();
-  const std::size_t npw =
-      std::clamp<std::size_t>(panel_cols == 0 ? kMaxPanelCols : panel_cols, 1,
-                              kMaxPanelCols);
-
-  // Per-call scratch from the calling thread's arena: released (capacity
-  // kept) on scope exit, so a warmed-up serving thread allocates nothing.
-  Arena& arena = thread_scratch_arena();
-  ArenaScope scratch(arena);
+  KernelScratch& scratch = kernel_scratch();
 
   // Stage the whole RHS as float once (every binary16 is exactly
   // representable, so per-element conversion order cannot matter). Row k
   // is kept all +0.0f: the decoder maps virtual padding positions to it,
   // so every row a slot gathers is in bounds. This replaces the
   // per-(r, c, j) out-of-line half->float conversions that dominated the
-  // scalar kernel.
-  float* bf = scratch.alloc<float>((k + 1) * n);
+  // scalar kernel. The image starts on a 64-byte boundary: 15 floats of
+  // slack let the base round up within the buffer.
+  const std::size_t rhs_floats = (k + 1) * n + 15;
+  if (scratch.rhs.size() < rhs_floats) scratch.rhs.resize(rhs_floats);
+  void* rhs_base = scratch.rhs.data();
+  std::size_t rhs_bytes = scratch.rhs.size() * sizeof(float);
+  auto* bf = static_cast<float*>(
+      std::align(64, (k + 1) * n * sizeof(float), rhs_base, rhs_bytes));
   parallel_for(static_cast<std::int64_t>(k), [&](std::int64_t r) {
     const fp16_t* src = b.data() + static_cast<std::size_t>(r) * n;
     float* dst = bf + static_cast<std::size_t>(r) * n;
@@ -339,7 +357,8 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
 
   // Per-panel flat-array bases, filled in one O(panels) sweep so the
   // per-tile decode is O(1).
-  auto* bases = scratch.alloc<JigsawFormat::PanelBases>(num_panels);
+  if (scratch.bases.size() < num_panels) scratch.bases.resize(num_panels);
+  JigsawFormat::PanelBases* bases = scratch.bases.data();
   f.panel_bases({bases, num_panels});
 
   parallel_for(static_cast<std::int64_t>(num_panels), [&](std::int64_t pi) {
@@ -355,8 +374,8 @@ void jigsaw_compute_into(const JigsawFormat& f, const DenseMatrix<fp16_t>& b,
     // (slice) loop, so each decoded A tile is applied to the full resident
     // B panel before moving on, and B is streamed panel-by-panel instead
     // of being re-fetched per 8-wide chunk.
-    for (std::size_t n0 = 0; n0 < n; n0 += npw) {
-      const std::size_t nw = std::min(npw, n - n0);
+    for (std::size_t n0 = 0; n0 < n; n0 += kMaxPanelCols) {
+      const std::size_t nw = std::min(kMaxPanelCols, n - n0);
       for (int s = 0; s < slices; ++s) {
         const std::size_t row0 = static_cast<std::size_t>(pi) * bt +
                                  static_cast<std::size_t>(s) * kMmaTile;

@@ -156,20 +156,15 @@ DenseMatrix<float> jigsaw_compute(const JigsawFormat& format,
 
 /// Allocation-free variant: computes into a caller-provided output sized
 /// format.rows() x b.cols(). Scratch (the float-staged RHS, per-panel
-/// array bases) comes from the calling thread's scratch arena
-/// (common/arena.hpp), so steady-state calls on a warmed-up thread touch
-/// the heap zero times — the property the engine's
-/// `jigsaw.engine.submit.allocations` counter tracks.
-///
-/// `panel_cols` selects the RHS column-panel width the row tiles are
-/// blocked over (0 picks the widest, 256). Output columns are
-/// independent sums, so every width yields bit-identical results; the
-/// knob exists for cache tuning and for the differential tests that pin
-/// the invariance down.
+/// array bases) lives in per-thread buffers that grow to the thread's
+/// largest call, so steady-state calls on a warmed-up thread touch the
+/// heap zero times — the property the engine's
+/// `jigsaw.engine.submit.allocations` counter tracks. Output columns are
+/// independent sums: any column slice of B, computed alone, gives the
+/// same columns of C bit for bit.
 void jigsaw_compute_into(const JigsawFormat& format,
                          const DenseMatrix<fp16_t>& b, DenseMatrix<float>& c,
-                         const Epilogue& epilogue = {},
-                         std::size_t panel_cols = 0);
+                         const Epilogue& epilogue = {});
 
 /// tanh of four floats, lane by lane: a branch-free port of fdlibm's
 /// tanhf and expm1f, bitwise equal to glibc 2.36's tanhf on every input

@@ -162,7 +162,7 @@ std::uint64_t options_content_hash(const EngineOptions& resolved) {
 
 Engine::Engine(EngineConfig config)
     : config_(config),
-      cache_(config.cache_capacity_bytes, config.cache_shards),
+      cache_(config.cache_capacity_bytes),
       pool_(config.worker_threads) {}
 
 Result<std::shared_ptr<const CompiledMatrix>> Engine::compile(
@@ -557,8 +557,8 @@ Result<DenseMatrix<float>> Engine::execute(
       // walks, and before the window opens). Pre-size the output, then
       // count this thread's heap traffic across the kernel proper (its
       // OpenMP body allocates nothing; other threads' allocations are not
-      // the request's). On a warmed-up worker (arena grown, pool caches
-      // primed) the delta is zero — the regression tests in
+      // the request's). On a warmed-up worker (kernel scratch grown, pool
+      // caches primed) the delta is zero — the regression tests in
       // test_engine.cpp pin that down for both routes and beside a busy
       // neighbour thread. The hybrid pipes allocate their tiles and stay
       // outside.

@@ -13,7 +13,7 @@
 //
 // compile() runs reorder → format build → kernel plan → hybrid routing
 // once and returns an immutable CompiledMatrix; identical requests (same
-// matrix content, same options) are served from a sharded LRU cache
+// matrix content, same options) are served from a byte-bounded LRU cache
 // without re-running any preprocessing. submit() executes one RHS against
 // the shared read-only artifact on a fixed worker pool
 // (common/parallel.hpp), so independent batches run concurrently.
@@ -56,11 +56,9 @@ using jigsaw::DenseMatrix;
 using jigsaw::fp16_t;
 
 struct EngineConfig {
-  /// Total byte budget of the compiled-artifact cache, split evenly
-  /// across the shards. Artifact sizes are measured footprints
-  /// (JigsawFormat::Footprint plus retained operands).
+  /// Byte budget of the compiled-artifact cache. Artifact sizes are
+  /// measured footprints (JigsawFormat::Footprint plus retained operands).
   std::size_t cache_capacity_bytes = 256ull << 20;
-  int cache_shards = 8;
   /// Worker threads executing submit()ted requests; <= 0 uses the
   /// hardware concurrency.
   int worker_threads = 0;
@@ -204,7 +202,7 @@ class Engine {
   /// Typed failures: kInvalidArgument (empty operand, bad BLOCK_TILE),
   /// kReorderFailed (kRaw policy and no candidate reorder succeeded),
   /// kInternal (a freshly built format failed validation),
-  /// kCapacityExhausted (artifact larger than a cache shard).
+  /// kCapacityExhausted (artifact larger than the whole cache budget).
   [[nodiscard]] Result<std::shared_ptr<const CompiledMatrix>> compile(
       const DenseMatrix<fp16_t>& a, const EngineOptions& options = {});
 
@@ -244,8 +242,8 @@ class Engine {
   /// published atomically, still bit-identical to a fresh compile of the
   /// mutated matrix. Failure atomicity: on any error (kInvalidArgument
   /// for a non-updatable handle or out-of-range entries, kReorderFailed
-  /// under kRaw, kCapacityExhausted when the new generation cannot fit
-  /// its cache shard, kInternal) the previous generation stays published,
+  /// under kRaw, kCapacityExhausted when the new generation exceeds the
+  /// cache budget, kInternal) the previous generation stays published,
   /// cached, and serving, bit-identically untouched.
   [[nodiscard]] Result<std::shared_ptr<const CompiledMatrix>> update(
       const std::shared_ptr<const CompiledMatrix>& handle,

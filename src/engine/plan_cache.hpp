@@ -1,5 +1,5 @@
-// Sharded LRU cache of compiled matrices, the amortization heart of the
-// serving engine.
+// LRU cache of compiled matrices, the amortization heart of the serving
+// engine.
 //
 // The cache is keyed by (matrix content hash, options hash) — NOT by
 // plan_fingerprint, deliberately: the fingerprint is a digest of the
@@ -10,12 +10,12 @@
 // diagnostics and cross-process comparison.
 //
 // Capacity is bounded in bytes (JigsawFormat::Footprint-derived artifact
-// sizes), split evenly across shards: each shard owns capacity/shards
-// bytes and its own mutex + LRU list, so concurrent compiles on different
-// matrices do not serialize on one lock. Eviction is per shard,
-// least-recently-used first. Hit/miss/eviction counts are kept in atomics
-// owned by the cache (usable with metrics disabled) and mirrored into the
-// obs registry by the engine.
+// sizes) over one LRU list behind one mutex; eviction is
+// least-recently-used first. Only compile and update touch the cache — a
+// submit executes a handle it already holds — so no request waits on the
+// lock.
+// Hit/miss/eviction counts are kept in atomics owned by the cache (usable
+// with metrics disabled) and mirrored into the obs registry by the engine.
 #pragma once
 
 #include <atomic>
@@ -23,7 +23,6 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
@@ -59,9 +58,7 @@ struct CacheStats {
 
 class PlanCache {
  public:
-  /// capacity_bytes is split evenly across `shards` independent LRU lists
-  /// (shards is clamped to >= 1; each shard owns capacity/shards bytes).
-  PlanCache(std::size_t capacity_bytes, int shards);
+  explicit PlanCache(std::size_t capacity_bytes);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -71,12 +68,12 @@ class PlanCache {
   std::shared_ptr<const CompiledMatrix> find(const CacheKey& key);
 
   /// Inserts `value` (whose resident size is `bytes`), evicting
-  /// least-recently-used entries of the shard until it fits. Returns the
-  /// canonical entry under the key: when a racing compile already
-  /// published one, that earlier artifact is returned and `value` is
-  /// dropped, so every caller converges on one shared artifact. Fails
-  /// with kCapacityExhausted when `bytes` alone exceeds the shard
-  /// capacity (nothing is evicted in that case).
+  /// least-recently-used entries until it fits. Returns the canonical
+  /// entry under the key: when a racing compile already published one,
+  /// that earlier artifact is returned and `value` is dropped, so every
+  /// caller converges on one shared artifact. Fails with
+  /// kCapacityExhausted when `bytes` alone exceeds the whole capacity
+  /// (nothing is evicted in that case).
   [[nodiscard]] Result<std::shared_ptr<const CompiledMatrix>> insert(
       const CacheKey& key, std::shared_ptr<const CompiledMatrix> value,
       std::size_t bytes);
@@ -104,19 +101,14 @@ class PlanCache {
       return static_cast<std::size_t>(mix(key));
     }
   };
-  struct Shard {
-    mutable Mutex mu;
-    std::list<Entry> lru GUARDED_BY(mu);  ///< front = most recently used
-    std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> index
-        GUARDED_BY(mu);
-    std::size_t bytes GUARDED_BY(mu) = 0;
-  };
-
-  Shard& shard_for(const CacheKey& key);
   static std::uint64_t mix(const CacheKey& key);
 
-  std::size_t shard_capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t capacity_bytes_;
+  mutable Mutex mu_;
+  std::list<Entry> lru_ GUARDED_BY(mu_);  ///< front = most recently used
+  std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> index_
+      GUARDED_BY(mu_);
+  std::size_t bytes_ GUARDED_BY(mu_) = 0;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};

@@ -12,19 +12,17 @@ double Forward::total_us() const {
 
 SparseLinear::SparseLinear(VectorSparseMatrix weights, std::vector<float> bias,
                            Options options)
-    : weights_(std::move(weights)),
-      bias_(std::move(bias)),
-      options_(std::move(options)) {
+    : bias_(std::move(bias)), options_(std::move(options)) {
   if (options_.with_bias) {
-    JIGSAW_CHECK_MSG(bias_.size() == weights_.rows(),
+    JIGSAW_CHECK_MSG(bias_.size() == weights.rows(),
                      "bias size " << bias_.size() << " != out_features "
-                                  << weights_.rows());
+                                  << weights.rows());
   } else {
     bias_.clear();
   }
   core::EngineOptions::Compile po;
   po.version = options_.version;
-  plan_ = core::jigsaw_plan(weights_.values(), po);
+  plan_ = core::jigsaw_plan(weights.values(), po);
 }
 
 SparseLinear SparseLinear::make_random(std::size_t out_features,

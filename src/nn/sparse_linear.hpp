@@ -1,6 +1,6 @@
 // Inference-layer abstraction over the Jigsaw kernel.
 //
-// A SparseLinear owns pruned weights, their one-time Jigsaw plan, an
+// A SparseLinear owns the one-time Jigsaw plan of its pruned weights, an
 // optional bias and activation, and exposes forward(): activations in,
 // activations out, plus the simulated kernel report. SequentialModel
 // chains layers (a pruned MLP / transformer FFN stack) and aggregates
@@ -38,8 +38,8 @@ class SparseLinear {
  public:
   using Options = SparseLinearOptions;
 
-  /// Takes ownership of the weights and preprocesses them (reorder +
-  /// format). `bias` must have out_features entries when enabled.
+  /// Preprocesses the weights (reorder + format) and keeps only the
+  /// plan. `bias` must have out_features entries when enabled.
   SparseLinear(VectorSparseMatrix weights, std::vector<float> bias,
                Options options = {});
 
@@ -49,8 +49,8 @@ class SparseLinear {
                                   std::size_t vector_width,
                                   std::uint64_t seed, Options options = {});
 
-  std::size_t in_features() const { return weights_.cols(); }
-  std::size_t out_features() const { return weights_.rows(); }
+  std::size_t in_features() const { return plan_.formats.front().cols(); }
+  std::size_t out_features() const { return plan_.formats.front().rows(); }
   const std::string& name() const { return options_.name; }
   const core::JigsawPlan& plan() const { return plan_; }
   double preprocess_seconds() const { return plan_.preprocess_seconds; }
@@ -61,7 +61,6 @@ class SparseLinear {
                   const gpusim::CostModel& cost_model) const;
 
  private:
-  VectorSparseMatrix weights_;
   std::vector<float> bias_;
   Options options_;
   core::JigsawPlan plan_;

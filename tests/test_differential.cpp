@@ -9,7 +9,10 @@
 // answering differently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/hybrid.hpp"
@@ -150,40 +153,69 @@ TEST(Differential, HybridRouteMatchesReferenceAndIsThreadCountInvariant) {
   }
 }
 
+/// RHS width of the column-slice tests: the kernel's 256-column panel
+/// loop runs at n0 = 0, 256 and 512 (256 + 256 + 8).
+constexpr std::size_t kWideN = 520;
+
+/// Computes `b` one w-column slice at a time for each slice width, and
+/// expects every slice's product to equal the same columns of `full` bit
+/// for bit — the property that lets requests against one artifact share
+/// a kernel call.
+void expect_column_slices_match(const JigsawFormat& f,
+                                const DenseMatrix<fp16_t>& b,
+                                const Epilogue& ep,
+                                const DenseMatrix<float>& full,
+                                const std::string& what) {
+  for (const std::size_t w : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                              std::size_t{24}, std::size_t{64},
+                              std::size_t{256}}) {
+    for (std::size_t j0 = 0; j0 < b.cols(); j0 += w) {
+      const std::size_t cols = std::min(w, b.cols() - j0);
+      DenseMatrix<fp16_t> slice(b.rows(), cols);
+      for (std::size_t r = 0; r < b.rows(); ++r) {
+        std::copy_n(&b(r, j0), cols, &slice(r, 0));
+      }
+      DenseMatrix<float> out(f.rows(), cols);
+      jigsaw_compute_into(f, slice, out, ep);
+      bool same = true;
+      for (std::size_t r = 0; r < f.rows(); ++r) {
+        same &= std::memcmp(&out(r, 0), &full(r, j0),
+                            cols * sizeof(float)) == 0;
+      }
+      EXPECT_TRUE(same) << what << " w=" << w << " columns from " << j0;
+    }
+  }
+}
+
 TEST(Differential, ComputeIntoIsPanelWidthInvariantBitwise) {
-  // The batched execute path blocks the RHS into column panels; output
-  // columns are independent sums, so every width — including widths that
-  // straddle or undershoot the SIMD chunks — must reproduce the default
-  // result exactly, for both metadata layouts.
+  // Output columns are independent sums: every column slice of B,
+  // computed alone, reproduces its columns of the full product exactly,
+  // for both metadata layouts — including widths that straddle or
+  // undershoot the SIMD chunks and slices that start past a 256-column
+  // panel.
   for (const SweepCase& c : sweep_cases()) {
     const auto a = lhs_for(c);
-    const auto b = dlmc::make_rhs(c.k, kN, c.seed + 5000);
+    const auto b = dlmc::make_rhs(c.k, kWideN, c.seed + 5000);
     const auto ref = reference_gemm(a, b);
     const auto reorder = multi_granularity_reorder(a);
     for (const auto layout :
          {MetadataLayout::kNaive, MetadataLayout::kInterleaved}) {
       const auto f = JigsawFormat::build(a, reorder, layout);
-      const auto base = jigsaw_compute(f, b);
-      EXPECT_TRUE(allclose(base, ref, c.k))
-          << describe(c) << " max diff " << max_abs_diff(base, ref);
-      for (const std::size_t pc : {std::size_t{1}, std::size_t{7},
-                                   std::size_t{8}, std::size_t{24},
-                                   std::size_t{64}, std::size_t{1024}}) {
-        DenseMatrix<float> out(a.rows(), kN);
-        jigsaw_compute_into(f, b, out, {}, pc);
-        EXPECT_TRUE(out == base) << describe(c) << " panel_cols=" << pc;
-      }
+      const auto full = jigsaw_compute(f, b);
+      EXPECT_TRUE(allclose(full, ref, c.k))
+          << describe(c) << " max diff " << max_abs_diff(full, ref);
+      expect_column_slices_match(f, b, {}, full, describe(c));
     }
   }
 }
 
 TEST(Differential, FusedEpilogueIsPanelWidthInvariantBitwise) {
-  // Bias + ReLU applied at write-back must not observe the panel blocking
+  // Bias + ReLU applied at write-back must not observe the slicing
   // either: apply() sees one finished accumulator per element regardless
-  // of how columns were chunked.
+  // of which columns share the call.
   const SweepCase c{100, 130, 92, 4, 52};
   const auto a = lhs_for(c);
-  const auto b = dlmc::make_rhs(c.k, kN, c.seed + 6000);
+  const auto b = dlmc::make_rhs(c.k, kWideN, c.seed + 6000);
   std::vector<float> bias(c.m);
   for (std::size_t r = 0; r < c.m; ++r) {
     bias[r] = 0.25f * static_cast<float>(r % 7) - 0.5f;
@@ -191,13 +223,12 @@ TEST(Differential, FusedEpilogueIsPanelWidthInvariantBitwise) {
   Epilogue ep;
   ep.activation = Epilogue::Activation::kRelu;
   ep.bias = &bias;
-  const auto format = JigsawFormat::build(a, multi_granularity_reorder(a));
-  const auto base = jigsaw_compute(format, b, ep);
-  for (const std::size_t pc : {std::size_t{1}, std::size_t{24},
-                               std::size_t{64}}) {
-    DenseMatrix<float> out(a.rows(), kN);
-    jigsaw_compute_into(format, b, out, ep, pc);
-    EXPECT_TRUE(out == base) << "panel_cols=" << pc;
+  const auto reorder = multi_granularity_reorder(a);
+  for (const auto layout :
+       {MetadataLayout::kNaive, MetadataLayout::kInterleaved}) {
+    const auto f = JigsawFormat::build(a, reorder, layout);
+    expect_column_slices_match(f, b, ep, jigsaw_compute(f, b, ep),
+                               describe(c));
   }
 }
 

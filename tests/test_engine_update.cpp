@@ -482,9 +482,9 @@ TEST(EngineUpdateFaults, CapacityExhaustionKeepsTheOldGenerationCached) {
   // format covers well under the 8-tile-per-panel ceiling.
   const auto a = dlmc::make_lhs({64, 128}, 0.98, 4, 7501).values();
 
-  // Probe the artifact footprint, then rebuild an engine whose single
-  // shard fits generation 0 exactly — a delta that widens the format
-  // cannot be inserted.
+  // Probe the artifact footprint, then rebuild an engine whose cache
+  // fits generation 0 exactly — a delta that widens the format cannot be
+  // inserted.
   std::size_t gen0_bytes = 0;
   {
     Engine probe;
@@ -494,7 +494,6 @@ TEST(EngineUpdateFaults, CapacityExhaustionKeepsTheOldGenerationCached) {
   }
   EngineConfig config;
   config.cache_capacity_bytes = gen0_bytes;
-  config.cache_shards = 1;
   Engine engine(config);
   auto compiled = engine.compile(a, options);
   ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
@@ -508,7 +507,7 @@ TEST(EngineUpdateFaults, CapacityExhaustionKeepsTheOldGenerationCached) {
   // no panel-0 row densifies past 2:4 feasibility: the panel gains live
   // column tiles (more headers, more packed values) while staying
   // §4.3-compliant — the strictly larger successor format cannot fit the
-  // exact-fit shard.
+  // exact-fit cache.
   SparseDelta grow;
   for (std::uint32_t c = 0; c < 128 && grow.size() < 24; ++c) {
     bool dead = true;

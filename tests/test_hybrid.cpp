@@ -161,7 +161,7 @@ TEST(Hybrid, ComputeHeapTrafficIsIndependentOfDenseTiles) {
   for (const double s : {0.9, 0.5, 0.2}) {
     const auto a = vector_sparse(256, 256, s, 4, 40);
     const auto plan = hybrid_plan(a, {.block_tile = 16});
-    (void)hybrid_compute(plan, a, b);  // warm the scratch arenas
+    (void)hybrid_compute(plan, a, b);  // warm the kernel scratch
     const std::uint64_t before = heap_allocation_count();
     const auto c = hybrid_compute(plan, a, b);
     allocations.push_back(heap_allocation_count() - before);

@@ -12,7 +12,9 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 
+#include "common/alloc_count.hpp"
 #include "matrix/reference.hpp"
 #include "matrix/vector_sparse.hpp"
 #include "obs/metrics.hpp"
@@ -547,6 +549,34 @@ TEST(JigsawKernel, ProductsMatchGoldenFingerprints) {
   const std::uint64_t special = product_fingerprint(a, poisoned);
   EXPECT_EQ(special, 0xb53f706afed577b5ull)
       << "signed zeros: got 0x" << std::hex << special;
+}
+
+TEST(JigsawKernel, WarmThreadComputesWithoutAllocating) {
+  // A thread's kernel scratch grows to its largest call and keeps that
+  // capacity. Once warmed at the larger of two shapes, a plain thread
+  // (not an engine worker) computes both without one heap allocation.
+  const JigsawFormat small =
+      jigsaw_plan(vector_sparse(64, 128, 0.8, 4, 71), {}).formats.front();
+  const JigsawFormat large =
+      jigsaw_plan(vector_sparse(128, 256, 0.8, 4, 72), {}).formats.front();
+  const auto small_b = random_b(small.cols(), 40, 73);
+  const auto large_b = random_b(large.cols(), 300, 74);
+  DenseMatrix<float> small_c(small.rows(), small_b.cols());
+  DenseMatrix<float> large_c(large.rows(), large_b.cols());
+  std::uint64_t cold = 0, warm = 0;
+  std::thread([&] {
+    const std::uint64_t start = thread_heap_allocation_count();
+    jigsaw_compute_into(large, large_b, large_c);
+    const std::uint64_t warmed = thread_heap_allocation_count();
+    jigsaw_compute_into(small, small_b, small_c);
+    jigsaw_compute_into(large, large_b, large_c);
+    warm = thread_heap_allocation_count() - warmed;
+    cold = warmed - start;
+  }).join();
+  EXPECT_GT(cold, 0u) << "the first call should grow the thread's scratch";
+  EXPECT_EQ(warm, 0u);
+  EXPECT_TRUE(small_c == jigsaw_compute(small, small_b));
+  EXPECT_TRUE(large_c == jigsaw_compute(large, large_b));
 }
 
 TEST(JigsawKernel, ReportHasSaneStructure) {

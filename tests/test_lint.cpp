@@ -207,7 +207,7 @@ TEST(LintSuppression, WellFormedDirectivesAreNotFindings) {
   const lint::SourceFile f = lint::parse_source("x/t.cpp",
       "// jigsaw-lint: allow(raw-alloc): intentionally leaked singleton\n"
       "void f() { auto* p = new int; }\n"
-      "// jigsaw-analyze: allow(arena-escape): handed to the caller\n"
+      "// jigsaw-analyze: allow(status-propagation): the caller checks it\n"
       "void g();\n");
   EXPECT_TRUE(lint::run_rules({f}).empty());
 }

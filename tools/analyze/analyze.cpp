@@ -392,190 +392,6 @@ void rule_status_propagation(const std::vector<FileModel>& models,
   }
 }
 
-// ---- Rule: arena-escape --------------------------------------------------
-//
-// Arena allocations live until the owning Arena/ArenaScope resets; a
-// pointer that outlives that scope is a use-after-reset waiting to
-// happen. The rule tracks, per function body: arena-typed locals and
-// parameters, pointers whose initializer draws from one (`a.alloc<…>`,
-// `a.allocate(…)`, `thread_scratch_arena().…`), and transitive copies.
-// Flagged escapes: assignment to a member of the enclosing class,
-// assignment to a namespace-scope variable, a `static` local, and
-// by-reference lambda capture passed to a deferred-execution call
-// (submit/async/enqueue/spawn).
-
-bool tokens_contain_arena_source(const std::vector<Token>& toks,
-                                 std::size_t begin, std::size_t end,
-                                 const std::set<std::string>& bases,
-                                 const std::set<std::string>& derived) {
-  for (std::size_t i = begin; i < end; ++i) {
-    if (toks[i].kind != Token::Kind::kIdent) continue;
-    if (derived.count(toks[i].text) > 0) {
-      const bool member_access =
-          i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"));
-      // `*p` and `p[i]` read the pointee — copying the value out of the
-      // arena is exactly the sanctioned fix, so only the pointer itself
-      // escaping counts.
-      const bool value_read =
-          (i > 0 && is_punct(toks[i - 1], "*")) ||
-          (i + 1 < end && is_punct(toks[i + 1], "["));
-      if (!member_access && !value_read) return true;
-    }
-    const bool is_base = bases.count(toks[i].text) > 0 ||
-                         toks[i].text == "thread_scratch_arena";
-    if (!is_base || i + 2 >= end) continue;
-    std::size_t j = i + 1;
-    if (toks[i].text == "thread_scratch_arena") {
-      if (!is_punct(toks[j], "(")) continue;
-      j = skip_balanced(toks, j);
-    }
-    if (j + 1 < end && (is_punct(toks[j], ".") || is_punct(toks[j], "->")) &&
-        toks[j + 1].kind == Token::Kind::kIdent &&
-        toks[j + 1].text.rfind("alloc", 0) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void rule_arena_escape(const std::vector<FileModel>& models,
-                       std::vector<Finding>& out) {
-  static const std::set<std::string> kDeferred = {"submit", "async", "enqueue",
-                                                  "spawn"};
-  for (const FileModel& model : models) {
-    const std::vector<Token>& toks = model.file->tokens;
-    std::set<std::string> globals(model.globals.begin(), model.globals.end());
-    for (const Function& fn : model.functions) {
-      // Member names of the enclosing class, for escape-to-member checks.
-      std::set<std::string> members;
-      for (const StructInfo& s : model.structs) {
-        if (s.name == fn.class_name) {
-          for (const Member& m : s.members) members.insert(m.name);
-        }
-      }
-
-      // Pass 1 — arena bases: `Arena a`, `Arena& a`, `ArenaScope s(...)`,
-      // `auto& a = thread_scratch_arena()`, and Arena&/Arena* parameters
-      // (the signature range covers those).
-      std::set<std::string> bases;
-      for (std::size_t i = fn.sig_begin; i < fn.body_end; ++i) {
-        if (!is_ident(toks[i], "Arena") && !is_ident(toks[i], "ArenaScope")) {
-          continue;
-        }
-        std::size_t j = i + 1;
-        while (j < fn.body_end &&
-               (is_punct(toks[j], "&") || is_punct(toks[j], "*") ||
-                is_ident(toks[j], "const"))) {
-          ++j;
-        }
-        if (j < fn.body_end && toks[j].kind == Token::Kind::kIdent) {
-          bases.insert(toks[j].text);
-        }
-      }
-      for (std::size_t i = fn.body_begin; i + 3 < fn.body_end; ++i) {
-        if (is_ident(toks[i], "thread_scratch_arena") &&
-            i >= 2 && is_punct(toks[i - 1], "=") &&
-            toks[i - 2].kind == Token::Kind::kIdent) {
-          bases.insert(toks[i - 2].text);
-        }
-      }
-
-      // Pass 2 — derived pointers, transitively, plus escape checks.
-      // Iterate assignments in order; the derived set only grows, so a
-      // single forward pass catches chains declared in order.
-      std::set<std::string> derived;
-      std::map<std::string, std::size_t> derived_at;  // name -> token index
-      for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
-        if (!is_punct(toks[i], "=")) continue;
-        if (i == fn.body_begin || toks[i - 1].kind != Token::Kind::kIdent) {
-          continue;
-        }
-        const std::string lhs = toks[i - 1].text;
-        std::size_t stmt_end = i;
-        while (stmt_end < fn.body_end && toks[stmt_end].text != ";") ++stmt_end;
-        if (!tokens_contain_arena_source(toks, i + 1, stmt_end, bases,
-                                         derived)) {
-          continue;
-        }
-        const bool lhs_is_member_access =
-            i >= 2 && (is_punct(toks[i - 2], ".") || is_punct(toks[i - 2], "->"));
-        const int line = toks[i - 1].line;
-        if (members.count(lhs) > 0 || lhs_is_member_access) {
-          add_finding(out, *model.file, line, "arena-escape",
-                      "arena-derived pointer stored to member `" + lhs +
-                          "` — it dies when the arena resets; copy the data "
-                          "or allocate from the owner");
-        } else if (globals.count(lhs) > 0) {
-          add_finding(out, *model.file, line, "arena-escape",
-                      "arena-derived pointer stored to namespace-scope `" +
-                          lhs + "` — it dies when the arena resets");
-        } else {
-          // `static T* p = arena.alloc…` — scan the statement head.
-          bool is_static = false;
-          for (std::size_t j = i; j > fn.body_begin; --j) {
-            const std::string& t = toks[j - 1].text;
-            if (t == ";" || t == "{" || t == "}") break;
-            if (t == "static") is_static = true;
-          }
-          if (is_static) {
-            add_finding(out, *model.file, line, "arena-escape",
-                        "arena-derived pointer stored to static local `" +
-                            lhs + "` — it dies when the arena resets");
-          } else {
-            derived.insert(lhs);
-            derived_at.emplace(lhs, i);
-          }
-        }
-      }
-
-      // Pass 3 — by-reference captures handed to deferred execution:
-      // `pool.submit([&]{ use(p); })` runs after this frame may be gone.
-      for (std::size_t i = fn.body_begin; i + 2 < fn.body_end; ++i) {
-        if (toks[i].kind != Token::Kind::kIdent ||
-            kDeferred.count(toks[i].text) == 0 || !is_punct(toks[i + 1], "(")) {
-          continue;
-        }
-        const std::size_t call_end = skip_balanced(toks, i + 1);
-        // Find a lambda with `&` in its capture list inside the call.
-        for (std::size_t j = i + 2; j + 1 < call_end; ++j) {
-          if (!is_punct(toks[j], "[")) continue;
-          std::size_t cap_end = j;
-          bool by_ref = false;
-          for (std::size_t k = j + 1; k < call_end; ++k) {
-            if (is_punct(toks[k], "]")) {
-              cap_end = k;
-              break;
-            }
-            if (toks[k].text == "&") by_ref = true;
-          }
-          if (!by_ref || cap_end == j) continue;
-          std::size_t body = cap_end + 1;
-          if (body < call_end && is_punct(toks[body], "(")) {
-            body = skip_balanced(toks, body);
-          }
-          while (body < call_end && !is_punct(toks[body], "{")) ++body;
-          if (body >= call_end) continue;
-          const std::size_t body_close = skip_balanced(toks, body);
-          for (std::size_t k = body + 1; k + 1 < body_close; ++k) {
-            if (toks[k].kind != Token::Kind::kIdent) continue;
-            const bool known = (derived.count(toks[k].text) > 0 &&
-                                derived_at[toks[k].text] < j) ||
-                               bases.count(toks[k].text) > 0;
-            if (!known) continue;
-            add_finding(out, *model.file, toks[k].line, "arena-escape",
-                        "arena-backed `" + toks[k].text +
-                            "` captured by reference into a deferred task — "
-                            "the arena may reset before the task runs");
-            break;  // one finding per lambda is enough
-          }
-          j = cap_end;
-        }
-        i = call_end > i ? call_end - 1 : i;
-      }
-    }
-  }
-}
-
 // ---- Rule: rcu-discipline ------------------------------------------------
 //
 // Three checks pinning the streaming-update PR's concurrency contract:
@@ -884,8 +700,7 @@ void rule_obs_name_registry(const std::vector<SourceFile>& files,
 }  // namespace
 
 std::vector<std::string> rule_names() {
-  return {"status-propagation", "arena-escape", "rcu-discipline",
-          "obs-name-registry"};
+  return {"status-propagation", "rcu-discipline", "obs-name-registry"};
 }
 
 std::string generate_obs_registry(const std::vector<SourceFile>& files) {
@@ -926,7 +741,6 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
   if (enabled("status-propagation")) {
     rule_status_propagation(models, findings);
   }
-  if (enabled("arena-escape")) rule_arena_escape(models, findings);
   if (enabled("rcu-discipline")) rule_rcu_discipline(models, findings);
   if (enabled("obs-name-registry")) {
     rule_obs_name_registry(files, opts, findings);

@@ -13,12 +13,6 @@
 //                       compared, .ok()-checked, or passed on. Catches
 //                       the path [[nodiscard]] misses: a status stored
 //                       into a named local and then dropped.
-//   arena-escape        pointers derived from Arena/ArenaScope
-//                       allocations (src/common/arena.hpp) may not be
-//                       stored to class members, globals, or statics,
-//                       nor captured by reference into a deferred task
-//                       (ThreadPool::submit / std::async) — the arena
-//                       reclaims them at scope exit.
 //   rcu-discipline      members annotated GUARDED_BY(mu) are only
 //                       touched in their own class's methods with `mu`
 //                       held; every weak_ptr member of Lineage carries

@@ -4,7 +4,7 @@
 //
 //   jigsaw_analyze --obs-registry docs/OBS_REGISTRY.md
 //       --obs-docs docs/OBSERVABILITY.md src/          # the CI gate
-//   jigsaw_analyze --rule arena-escape src/engine      # one rule
+//   jigsaw_analyze --rule rcu-discipline src/engine    # one rule
 //   jigsaw_analyze --write-obs-registry docs/OBS_REGISTRY.md src/
 //   jigsaw_analyze --list-rules
 #include <cstring>

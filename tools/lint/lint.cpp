@@ -663,9 +663,9 @@ void rule_hot_path_alloc(const SourceFile& f,
     }
     if (constructed) {
       report(findings, f, toks[j].line, "hot-path-alloc",
-             "`" + t.text + "` constructed in a hot-path file: hoist the "
-             "allocation to the caller's arena (common/arena.hpp) or mark "
-             "the cold site with jigsaw-lint: allow(hot-path-alloc)");
+             "`" + t.text + "` constructed in a hot-path file: keep "
+             "scratch in a grow-only per-thread buffer, or mark the site "
+             "with jigsaw-lint: allow(hot-path-alloc) and the reason");
     }
   }
 }
@@ -869,8 +869,7 @@ std::vector<std::string> rule_names() {
 }
 
 std::vector<std::string> analyzer_rule_names() {
-  return {"status-propagation", "arena-escape", "rcu-discipline",
-          "obs-name-registry"};
+  return {"status-propagation", "rcu-discipline", "obs-name-registry"};
 }
 
 bool is_suppressed(const SourceFile& f, int line, const std::string& rule) {

@@ -17,8 +17,8 @@
 //   raw-alloc         no raw new/delete/malloc outside src/common/
 //   hot-path-alloc    files tagged `// jigsaw-lint: hot-path` construct
 //                     no containers (vector/string/DenseMatrix/...) —
-//                     hot loops draw scratch from the caller's arena;
-//                     cold sites carry an explicit allow()
+//                     hot loops keep scratch in grow-only per-thread
+//                     buffers; each construction carries an allow()
 //   header-hygiene    headers start with #pragma once and directly
 //                     include the std headers of the std:: symbols they
 //                     use (IWYU-lite)
