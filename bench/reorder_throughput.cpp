@@ -2,7 +2,8 @@
 // multi-granularity reorder is "one-time light preprocessing, whose cost
 // can be amortized over inferences" (§3.1). This benchmark measures the
 // actual wall-clock reorder + format-build time across sparsities, vector
-// widths, and BLOCK_TILE sizes, reporting elements/second.
+// widths, and BLOCK_TILE sizes, reporting elements/second, and the whole
+// per-weight compile of a serving-sized FFN weight.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -55,6 +56,27 @@ void bench_format_build(benchmark::State& state) {
                           static_cast<std::int64_t>(shape.m * shape.k));
 }
 
+void bench_compile_ffn(benchmark::State& state) {
+  // The per-weight work of an engine compile on a serving-sized FFN
+  // weight: reorder, format build and validation of a 4096x1024, 90%
+  // sparse, v=4 matrix at BLOCK_TILE 64.
+  const dlmc::Shape shape{4096, 1024};
+  const auto a = dlmc::make_lhs(shape, 0.90, 4);
+  core::ReorderOptions opts;
+  opts.tile.block_tile_m = 64;
+  for (auto _ : state) {
+    const auto reorder = core::multi_granularity_reorder(a.values(), opts);
+    auto format = core::JigsawFormat::build(a.values(), reorder);
+    if (!format.validate().ok()) {
+      state.SkipWithError("built format failed validation");
+      break;
+    }
+    benchmark::DoNotOptimize(format.values().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(shape.m * shape.k));
+}
+
 void bench_full_plan(benchmark::State& state) {
   // The complete V4 preprocessing (three reorders + three format builds):
   // the cost a user amortizes over inference runs.
@@ -76,6 +98,7 @@ BENCHMARK(jigsaw::bench_format_build)
     ->Arg(80)
     ->Arg(95)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(jigsaw::bench_compile_ffn)->Unit(benchmark::kMillisecond);
 BENCHMARK(jigsaw::bench_full_plan)->Unit(benchmark::kMillisecond);
 
 // Custom main instead of BENCHMARK_MAIN: `--json` writes the machine-

@@ -18,6 +18,15 @@ constexpr std::size_t kValuesPerPair =
     static_cast<std::size_t>(sptc::kTileRows) * sptc::kTileCompressedCols;
 constexpr std::size_t kMetaWordsPerPair = sptc::kTileRows;
 
+/// Appends `n` value-initialized entries to `v` and returns where they
+/// start.
+template <typename T>
+T* grow(std::vector<T>& v, std::size_t n) {
+  const std::size_t old = v.size();
+  v.resize(old + n);
+  return v.data() + old;
+}
+
 }  // namespace
 
 void JigsawFormat::append_panel(const DenseMatrix<fp16_t>& a,
@@ -36,47 +45,72 @@ void JigsawFormat::append_panel(const DenseMatrix<fp16_t>& a,
   }
   panels_.push_back(header);
 
+  const std::uint32_t pairs = header.mma_pairs();
+  const std::size_t slice_pairs = static_cast<std::size_t>(slices) * pairs;
+  std::uint32_t* bci = grow(block_col_idx_, static_cast<std::size_t>(slices) *
+                                                header.tile_count *
+                                                kPermEntries);
+  fp16_t* values = grow(values_, slice_pairs * kValuesPerPair);
+  const std::size_t meta_base = metadata_.size();
+  std::uint32_t* meta = grow(metadata_, slice_pairs * kMetaWordsPerPair);
+
   // block_col_idx_array: slice-major, tile-minor, 16 entries each. The
   // paper stores these as 4-byte integers (§4.6); we match.
   for (int s = 0; s < slices; ++s) {
     for (const ColumnTileReorder& t : panel.tiles) {
       const MmaTilePermutation& perm =
           t.row_slices[static_cast<std::size_t>(s)];
-      for (int j = 0; j < kMmaTile; ++j) {
-        block_col_idx_.push_back(perm.perm[static_cast<std::size_t>(j)]);
-      }
+      bci = std::copy(perm.perm.begin(), perm.perm.end(), bci);
     }
   }
 
   // Compressed values + metadata per (slice, mma pair).
-  const std::size_t meta_base = metadata_.size();
-  const std::uint32_t pairs = header.mma_pairs();
+  const std::size_t cols = a.cols();
   for (int s = 0; s < slices; ++s) {
     const std::size_t slice_row =
         p * bt + static_cast<std::size_t>(s) * kMmaTile;
+    const std::size_t rows =
+        slice_row < a.rows()
+            ? std::min<std::size_t>(sptc::kTileRows, a.rows() - slice_row)
+            : 0;
     for (std::uint32_t pair = 0; pair < pairs; ++pair) {
-      // Materialize the 16x32 logical tile in post-reorder column order.
-      DenseMatrix<fp16_t> logical(sptc::kTileRows, sptc::kTileLogicalCols);
+      // The source column of each logical column of the 16x32 tile, in
+      // post-reorder order. A zero-pad tile or a virtual padding position
+      // has none and stays +0.
+      std::array<std::uint8_t, sptc::kTileLogicalCols> dst;
+      std::array<std::uint32_t, sptc::kTileLogicalCols> src;
+      int present = 0;
       for (int l = 0; l < sptc::kTileLogicalCols; ++l) {
         const std::uint32_t tile_in_panel =
             2 * pair + static_cast<std::uint32_t>(l / kMmaTile);
-        if (tile_in_panel >= header.tile_count) continue;  // zero pad
+        if (tile_in_panel >= header.tile_count) break;
         const ColumnTileReorder& t =
             panel.tiles[static_cast<std::size_t>(tile_in_panel)];
         const std::uint32_t pos =
             t.row_slices[static_cast<std::size_t>(s)]
                 .perm[static_cast<std::size_t>(l % kMmaTile)];
-        if (pos >= t.col_count) continue;  // virtual padding column
-        const std::uint32_t column = panel.col_idx[t.col_begin + pos];
-        for (int r = 0; r < sptc::kTileRows; ++r) {
-          const std::size_t row = slice_row + static_cast<std::size_t>(r);
-          if (row >= a.rows()) break;
-          logical(static_cast<std::size_t>(r), static_cast<std::size_t>(l)) =
-              a(row, column);
+        if (pos >= t.col_count) continue;
+        dst[static_cast<std::size_t>(present)] = static_cast<std::uint8_t>(l);
+        src[static_cast<std::size_t>(present)] =
+            panel.col_idx[t.col_begin + pos];
+        ++present;
+      }
+      // Gather the tile row by row from A's rows; rows past a.rows() stay
+      // zero.
+      std::array<fp16_t, sptc::kTileRows * sptc::kTileLogicalCols> logical{};
+      for (std::size_t r = 0; r < rows; ++r) {
+        const fp16_t* a_row = a.data() + (slice_row + r) * cols;
+        fp16_t* tile_row = logical.data() + r * sptc::kTileLogicalCols;
+        for (int k = 0; k < present; ++k) {
+          tile_row[dst[static_cast<std::size_t>(k)]] =
+              a_row[src[static_cast<std::size_t>(k)]];
         }
       }
       sptc::CompressedTile compressed;
-      const bool ok = sptc::compress_tile(logical.view(), compressed);
+      const bool ok = sptc::compress_tile(
+          ConstSpan2d<fp16_t>(logical.data(), sptc::kTileRows,
+                              sptc::kTileLogicalCols, sptc::kTileLogicalCols),
+          compressed);
       JIGSAW_CHECK_MSG(ok,
                        "reordered tile violates 2:4 — reorder bug (panel "
                            << p << ", slice " << s << ", pair " << pair
@@ -86,15 +120,14 @@ void JigsawFormat::append_panel(const DenseMatrix<fp16_t>& a,
       // stored contiguously, row-major within each half.
       for (int blk = 0; blk < 2; ++blk) {
         for (int r = 0; r < sptc::kTileRows; ++r) {
-          for (int c = 0; c < 8; ++c) {
-            values_.push_back(compressed.values[static_cast<std::size_t>(
-                r * sptc::kTileCompressedCols + blk * 8 + c)]);
-          }
+          values = std::copy_n(
+              compressed.values.begin() + r * sptc::kTileCompressedCols +
+                  blk * 8,
+              8, values);
         }
       }
-      for (int r = 0; r < sptc::kTileRows; ++r) {
-        metadata_.push_back(compressed.metadata[static_cast<std::size_t>(r)]);
-      }
+      meta = std::copy(compressed.metadata.begin(), compressed.metadata.end(),
+                       meta);
     }
   }
 
@@ -134,6 +167,21 @@ JigsawFormat JigsawFormat::build(const DenseMatrix<fp16_t>& a,
   f.cols_ = a.cols();
   f.tile_ = reorder.tile;
   f.layout_ = layout;
+
+  // The plan fixes every array's length, so each is sized once.
+  std::size_t tiles = 0, cols = 0, pairs = 0;
+  for (const PanelReorder& panel : reorder.panels) {
+    tiles += panel.tiles.size();
+    cols += panel.col_idx.size();
+    pairs += (panel.tiles.size() + 1) / 2;
+  }
+  const auto slices = static_cast<std::size_t>(f.row_slices_per_panel());
+  f.panels_.reserve(reorder.panels.size());
+  f.tiles_.reserve(tiles);
+  f.col_idx_.reserve(cols);
+  f.block_col_idx_.reserve(tiles * slices * kPermEntries);
+  f.values_.reserve(pairs * slices * kValuesPerPair);
+  f.metadata_.reserve(pairs * slices * kMetaWordsPerPair);
 
   for (std::size_t p = 0; p < reorder.panels.size(); ++p) {
     f.append_panel(a, reorder.panels[p], p);

@@ -10,6 +10,8 @@
 
 #include "core/format.hpp"
 #include "core/format_limits.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace jigsaw::core {
 
@@ -47,6 +49,9 @@ Status check_metadata_word(std::uint32_t word, std::size_t where) {
 }  // namespace
 
 Status JigsawFormat::validate() const {
+  JIGSAW_TRACE_SCOPE("format", "format.validate");
+  static obs::Histogram& seconds = obs::histogram("format.validate_seconds");
+  const obs::ScopedTimer timer(seconds);
   // ---- Shape and configuration.
   JIGSAW_VALIDATE(rows_ > 0 && cols_ > 0,
                   "empty shape " << rows_ << "x" << cols_);

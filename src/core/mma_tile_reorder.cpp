@@ -21,6 +21,12 @@ constexpr std::uint64_t kMaxPairIterations = 150000;
 /// Extra budget spent looking for a conflict-free scheme after a valid but
 /// conflicting one was found.
 constexpr std::uint64_t kConflictFreeSearchBudget = 6000;
+/// Most compatible quads a tile can have: C(16, 4).
+constexpr std::uint32_t kMaxQuads = 1820;
+/// Words of a bitset over a tile's quads. The position index strides its
+/// rows by this, so the enumeration can write them before it knows the
+/// quad count.
+constexpr std::uint32_t kMaxQuadWords = (kMaxQuads + 63) / 64;
 
 /// A candidate solution: four pairwise-disjoint quads covering the tile.
 struct QuadCover {
@@ -79,56 +85,69 @@ MmaTilePermutation best_pairing(const QuadCover& cover, int real_columns) {
 }
 
 /// Randomized greedy exact-cover attempt over the quad list. The candidate
-/// set lives in a bitset over quad indices (`cand`, caller scratch);
-/// filtering a pick's conflicts is four word-wide andnots against the
-/// position index instead of a pass over every surviving candidate. The
-/// pick sequence is identical to the original candidate-vector walk: bits
-/// ascend in quad-index order, exactly like the stable in-place filter kept
-/// the vector sorted, so rng draws map to the same quads.
-std::optional<QuadCover> greedy_cover(const MmaTileQuadList& quads,
+/// set lives in a bitset over quad indices; filtering a pick's conflicts
+/// is four word-wide andnots against the position index instead of a pass
+/// over every surviving candidate. The pick sequence is identical to the
+/// original candidate-vector walk: bits ascend in quad-index order,
+/// exactly like the stable in-place filter kept the vector sorted, so rng
+/// draws map to the same quads. Two picks need no bitset: the first draws
+/// from every quad, so the draw is the quad index; after three disjoint
+/// picks the only quad left disjoint from them is the complement of their
+/// union, a candidate exactly when it is compatible.
+std::optional<QuadCover> greedy_cover(std::span<const MmaTileQuad> quads,
+                                      std::span<const std::uint16_t> col_masks,
                                       const std::uint64_t* pos_bits,
-                                      std::uint32_t words, Rng& rng,
-                                      std::vector<std::uint64_t>& cand) {
+                                      std::uint32_t words, Rng& rng) {
   QuadCover cover;
-  std::uint16_t used = 0;
   const std::uint32_t n = static_cast<std::uint32_t>(quads.size());
-  cand.assign(words, ~0ull);
-  if (n % 64 != 0 && words > 0) cand[words - 1] = (1ull << (n % 64)) - 1;
-  std::uint32_t count = n;
-
-  for (int chosen = 0; chosen < 4; ++chosen) {
+  cover.quads[0] = quads[rng.next_below(n)];
+  std::array<std::uint64_t, kMaxQuadWords> cand;
+  std::array<std::uint32_t, kMaxQuadWords> word_count;
+  for (std::size_t chosen = 1; chosen < 3; ++chosen) {
+    // Drop the previous pick's conflicts, then draw among the rest.
+    const MmaTileQuad& q = cover.quads[chosen - 1];
+    const std::uint64_t* const r0 = &pos_bits[q.pos[0] * kMaxQuadWords];
+    const std::uint64_t* const r1 = &pos_bits[q.pos[1] * kMaxQuadWords];
+    const std::uint64_t* const r2 = &pos_bits[q.pos[2] * kMaxQuadWords];
+    const std::uint64_t* const r3 = &pos_bits[q.pos[3] * kMaxQuadWords];
+    std::uint32_t count = 0;
+    for (std::uint32_t k = 0; k < words; ++k) {
+      std::uint64_t live = ~0ull;
+      if (chosen > 1) {
+        live = cand[k];
+      } else if (k == words - 1 && n % 64 != 0) {
+        live = (1ull << (n % 64)) - 1;
+      }
+      cand[k] = live & ~(r0[k] | r1[k] | r2[k] | r3[k]);
+      word_count[k] = static_cast<std::uint32_t>(std::popcount(cand[k]));
+      count += word_count[k];
+    }
     if (count == 0) return std::nullopt;
     std::uint64_t pick = rng.next_below(count);
     std::uint32_t w = 0;
-    for (;;) {
-      const std::uint32_t pc =
-          static_cast<std::uint32_t>(std::popcount(cand[w]));
-      if (pick < pc) break;
-      pick -= pc;
-      ++w;
-    }
+    for (; pick >= word_count[w]; ++w) pick -= word_count[w];
     std::uint64_t word = cand[w];
     for (; pick > 0; --pick) word &= word - 1;
-    const std::uint32_t idx =
-        w * 64 + static_cast<std::uint32_t>(std::countr_zero(word));
-    const MmaTileQuad& q = quads[idx];
-    cover.quads[static_cast<std::size_t>(chosen)] = q;
-    used |= q.set;
-    const std::uint64_t* const r0 =
-        &pos_bits[static_cast<std::size_t>(q.pos[0]) * words];
-    const std::uint64_t* const r1 =
-        &pos_bits[static_cast<std::size_t>(q.pos[1]) * words];
-    const std::uint64_t* const r2 =
-        &pos_bits[static_cast<std::size_t>(q.pos[2]) * words];
-    const std::uint64_t* const r3 =
-        &pos_bits[static_cast<std::size_t>(q.pos[3]) * words];
-    count = 0;
-    for (std::uint32_t k = 0; k < words; ++k) {
-      cand[k] &= ~(r0[k] | r1[k] | r2[k] | r3[k]);
-      count += static_cast<std::uint32_t>(std::popcount(cand[k]));
-    }
+    cover.quads[chosen] =
+        quads[w * 64 + static_cast<std::uint32_t>(std::countr_zero(word))];
   }
-  return used == kFullSet ? std::optional<QuadCover>(cover) : std::nullopt;
+
+  MmaTileQuad& last = cover.quads[3];
+  last.set = static_cast<std::uint16_t>(
+      ~(cover.quads[0].set | cover.quads[1].set | cover.quads[2].set));
+  std::uint16_t rest = last.set;
+  for (std::uint8_t& p : last.pos) {
+    p = static_cast<std::uint8_t>(std::countr_zero(rest));
+    rest = static_cast<std::uint16_t>(rest & (rest - 1));
+  }
+  if (!quad_compatible(col_masks[last.pos[0]], col_masks[last.pos[1]],
+                       col_masks[last.pos[2]], col_masks[last.pos[3]])) {
+    return std::nullopt;
+  }
+  // The fourth pick still draws among its one candidate: the panel's
+  // later tiles share this rng stream.
+  (void)rng.next_below(1);
+  return cover;
 }
 
 /// Direct-indexed replacement of the pair-search octet hash map: slot
@@ -157,11 +176,9 @@ struct OctetTable {
 
 struct SearchScratch {
   OctetTable octets;
-  std::vector<std::uint64_t> greedy_candidates;  // bitset over quad indices
-  std::vector<std::uint16_t> sets;  // contiguous copy of quad sets
-  MmaTileQuadList quads;            // the current tile's compatible quads
+  std::array<MmaTileQuad, kMaxQuads> quads;  // the current tile's quads
   /// Quad-index bitsets shared by the greedy and pair phases: row p marks
-  /// the quads that contain position p (16 rows of `words` words each).
+  /// the quads that contain position p (16 rows of kMaxQuadWords words).
   std::vector<std::uint64_t> pos_bits;
   std::vector<std::uint64_t> conflict;  // per-i union of four pos_bits rows
 };
@@ -169,6 +186,70 @@ struct SearchScratch {
 SearchScratch& scratch() {
   thread_local SearchScratch s;
   return s;
+}
+
+/// Sets bits [begin, end) of the bitset `row`.
+void set_bit_range(std::uint64_t* row, std::uint32_t begin,
+                   std::uint32_t end) {
+  while (begin < end) {
+    const std::uint32_t lo = begin % 64;
+    const std::uint32_t len = std::min<std::uint32_t>(64 - lo, end - begin);
+    const std::uint64_t ones = len == 64 ? ~0ull : (1ull << len) - 1;
+    row[begin / 64] |= ones << lo;
+    begin += len;
+  }
+}
+
+/// Lines 2-8 of Algorithm 1. A quad is compatible when no row holds three
+/// or more of its four columns' nonzeros: a triple (i, j, k) that already
+/// fills some row three times admits no w, and w fits under the others
+/// when it adds nothing to a row two of them fill. Quads come out in
+/// ascending lexicographic (i, j, k, w) order, exactly those of the plain
+/// four-nested-loop enumeration. The innermost loop has no data-dependent
+/// branch: each candidate is written at out[n] and kept by advancing n, so
+/// `out` must hold kMaxQuads entries. Row p of `pos_bits` (kMmaTile zeroed
+/// rows of kMaxQuadWords words) comes out marking the quads that contain
+/// position p; the quads under one (i) or (i, j) prefix are contiguous,
+/// so those two rows take one range each.
+std::uint32_t enumerate_quads(std::span<const std::uint16_t> col_masks,
+                              MmaTileQuad* out, std::uint64_t* pos_bits) {
+  JIGSAW_CHECK(col_masks.size() == kMmaTile);
+  const auto row = [pos_bits](int p) {
+    return pos_bits + static_cast<std::size_t>(p) * kMaxQuadWords;
+  };
+  std::uint32_t n = 0;
+  for (int i = 0; i < kMmaTile; ++i) {
+    const std::uint32_t begin_i = n;
+    const unsigned mi = col_masks[static_cast<std::size_t>(i)];
+    for (int j = i + 1; j < kMmaTile; ++j) {
+      const std::uint32_t begin_j = n;
+      const unsigned mj = col_masks[static_cast<std::size_t>(j)];
+      for (int k = j + 1; k < kMmaTile; ++k) {
+        const unsigned mk = col_masks[static_cast<std::size_t>(k)];
+        if (mi & mj & mk) continue;  // some row already at three
+        const unsigned twice = (mi & mj) | (mi & mk) | (mj & mk);
+        const unsigned set3 = (1u << i) | (1u << j) | (1u << k);
+        std::uint64_t* const row_k = row(k);
+        for (int w = k + 1; w < kMmaTile; ++w) {
+          const auto fits = static_cast<std::uint32_t>(
+              (col_masks[static_cast<std::size_t>(w)] & twice) == 0);
+          const std::uint64_t bit = std::uint64_t{fits} << (n % 64);
+          row(w)[n / 64] |= bit;
+          row_k[n / 64] |= bit;
+          MmaTileQuad& quad = out[n];
+          quad.set = static_cast<std::uint16_t>(set3 | 1u << w);
+          quad.pos = {static_cast<std::uint8_t>(i),
+                      static_cast<std::uint8_t>(j),
+                      static_cast<std::uint8_t>(k),
+                      static_cast<std::uint8_t>(w)};
+          n += fits;
+        }
+      }
+      set_bit_range(row(j), begin_j, n);
+    }
+    set_bit_range(row(i), begin_i, n);
+  }
+  return n;
 }
 
 }  // namespace
@@ -191,42 +272,10 @@ bool quad_compatible(std::uint16_t a, std::uint16_t b, std::uint16_t c,
 
 void enumerate_compatible_quads(std::span<const std::uint16_t> col_masks,
                                 MmaTileQuadList& out) {
-  JIGSAW_CHECK(col_masks.size() == kMmaTile);
-  out.clear();
-  // Lines 2-8 of Algorithm 1. The triple test prunes the innermost loop:
-  // once three columns put three nonzeros in some row, no fourth column can
-  // fix it, so every w is skipped. Accepted quads (and their order) are
-  // exactly those of the plain four-nested-loop enumeration.
-  for (int i = 0; i < kMmaTile; ++i) {
-    const std::uint16_t mi = col_masks[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j < kMmaTile; ++j) {
-      const std::uint16_t mj = col_masks[static_cast<std::size_t>(j)];
-      const std::uint16_t ones2 = mi ^ mj;
-      const std::uint16_t twos2 = mi & mj;
-      for (int k = j + 1; k < kMmaTile; ++k) {
-        const std::uint16_t mk = col_masks[static_cast<std::size_t>(k)];
-        const std::uint16_t carry3 = ones2 & mk;
-        if (twos2 & carry3) continue;  // some row already at three
-        const std::uint16_t ones3 = ones2 ^ mk;
-        const std::uint16_t twos3 = twos2 ^ carry3;
-        if (ones3 & twos3) continue;  // some row already at three
-        for (int w = k + 1; w < kMmaTile; ++w) {
-          const std::uint16_t mw = col_masks[static_cast<std::size_t>(w)];
-          const std::uint16_t carry4 = ones3 & mw;
-          if ((twos3 & carry4) | (static_cast<std::uint16_t>(ones3 ^ mw) &
-                                  static_cast<std::uint16_t>(twos3 ^ carry4))) {
-            continue;  // count reached three or four in some row
-          }
-          MmaTileQuad q;
-          q.set = static_cast<std::uint16_t>((1u << i) | (1u << j) |
-                                             (1u << k) | (1u << w));
-          q.pos = {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j),
-                   static_cast<std::uint8_t>(k), static_cast<std::uint8_t>(w)};
-          out.push_back(q);
-        }
-      }
-    }
-  }
+  std::vector<std::uint64_t> pos_bits(
+      static_cast<std::size_t>(kMmaTile) * kMaxQuadWords, 0);
+  out.resize(kMaxQuads);
+  out.resize(enumerate_quads(col_masks, out.data(), pos_bits.data()));
 }
 
 bool tile_satisfies_two_four(std::span<const std::uint16_t> masks) {
@@ -349,11 +398,15 @@ MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
 
   // Lines 2-8 of Algorithm 1: the compatible four-column groups.
   SearchScratch& sc = scratch();
-  MmaTileQuadList& quads = sc.quads;
-  enumerate_compatible_quads(col_masks, quads);
+  sc.pos_bits.assign(static_cast<std::size_t>(kMmaTile) * kMaxQuadWords, 0);
+  const std::uint32_t n =
+      enumerate_quads(col_masks, sc.quads.data(), sc.pos_bits.data());
+  const std::span<const MmaTileQuad> quads(sc.quads.data(), n);
+  const std::uint64_t* const pos_bits = sc.pos_bits.data();
+  const std::uint32_t words = (n + 63) / 64;
   if (stats) {
     ++stats->fresh_enumerations;
-    stats->quads_enumerated += quads.size();
+    stats->quads_enumerated += n;
   }
   // Every search that gets here enumerates (about 1,400 per 4096x1024,
   // 90%-sparse weight at BLOCK_TILE 64), so the histogram is looked up
@@ -361,12 +414,17 @@ MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
   // share.
   static obs::Histogram& quads_per_enumeration =
       obs::histogram("reorder.quads_per_enumeration");
-  quads_per_enumeration.observe(static_cast<double>(quads.size()));
-  result.compatible_quads = static_cast<std::uint32_t>(quads.size());
+  quads_per_enumeration.observe(static_cast<double>(n));
+  result.compatible_quads = n;
 
+  // freq[p]: the compatible quads that contain position p.
   std::array<std::uint32_t, kMmaTile> freq{};
-  for (const MmaTileQuad& q : quads) {
-    for (const std::uint8_t p : q.pos) ++freq[p];
+  for (int p = 0; p < kMmaTile; ++p) {
+    const std::uint64_t* const row = pos_bits + p * kMaxQuadWords;
+    for (std::uint32_t w = 0; w < words; ++w) {
+      freq[static_cast<std::size_t>(p)] +=
+          static_cast<std::uint32_t>(std::popcount(row[w]));
+    }
   }
 
   const auto least_frequent_real = [&]() {
@@ -386,26 +444,12 @@ MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
   }
 
   std::optional<MmaTilePermutation> fallback;
-  const std::uint32_t n = static_cast<std::uint32_t>(quads.size());
-  sc.sets.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) sc.sets[i] = quads[i].set;
-  const std::uint16_t* const sets = sc.sets.data();
-  const std::uint32_t words = (n + 63) / 64;
-  sc.pos_bits.assign(static_cast<std::size_t>(words) * kMmaTile, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (const std::uint8_t p : quads[i].pos) {
-      sc.pos_bits[static_cast<std::size_t>(p) * words + i / 64] |=
-          1ull << (i % 64);
-    }
-  }
-  const std::uint64_t* const pos_bits = sc.pos_bits.data();
 
   // Randomized greedy exact-cover attempts (cheap; succeeds with high
   // probability whenever compatible groups are plentiful).
   for (int attempt = 0; attempt < kGreedyAttempts; ++attempt) {
     if (stats) ++stats->greedy_attempts;
-    if (auto cover =
-            greedy_cover(quads, pos_bits, words, rng, sc.greedy_candidates)) {
+    if (auto cover = greedy_cover(quads, col_masks, pos_bits, words, rng)) {
       MmaTilePermutation p = best_pairing(*cover, real_columns);
       if (p.bank_conflict_free || !options.bank_conflict_aware) {
         result.permutation = p;
@@ -413,6 +457,35 @@ MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
       }
       if (!fallback) fallback = p;
     }
+  }
+
+  // What the pair scan returns when it ends without a conflict-free hit.
+  const auto scan_exhausted = [&]() {
+    if (fallback) {
+      result.permutation = *fallback;
+    } else {
+      result.evict_position = least_frequent_real();
+    }
+    return result;
+  };
+
+  // The pair scan below cannot complete a cover before the first pair
+  // whose outer quad lacks position 0. A hit at pair (i, j) needs the
+  // complement of octet(i, j) to have been formed by an earlier pair, and
+  // exactly one of an octet and its complement holds position 0. In
+  // enumeration order (i outermost) the quads holding position 0 are the
+  // first n0 = freq[0], so an octet holding it forms only at some i < n0
+  // and one lacking it only at i >= n0: neither can hit while i < n0.
+  // The first pair with i = n0 has ordinal n0(n-1) - n0(n0-1)/2 + 1 in
+  // the scan's count. When that lies past the budget, the scan would run
+  // to the budget without a hit (budget tightening needs one), so return
+  // what the exhausted scan returns. The greedy loop above keeps its rng
+  // draws, which later tiles of the panel share; the scan draws none.
+  // The lemma holds only while `quads` stay in enumeration order.
+  const std::uint64_t n0 = freq[0];
+  if (n0 * (n - 1) - n0 * (n0 - 1) / 2 + 1 > kMaxPairIterations) {
+    if (stats) stats->pair_iterations += kMaxPairIterations;
+    return scan_exhausted();
   }
 
   // Lines 9-17: bidirectional search. Disjoint quad pairs form
@@ -437,17 +510,13 @@ MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
   std::uint64_t iterations = 0;
   std::uint64_t budget = kMaxPairIterations;
   for (std::uint32_t i = 0; i < n && iterations < budget; ++i) {
-    const std::uint16_t si = sets[i];
+    const std::uint16_t si = quads[i].set;
     const std::uint64_t base = iterations;
     const std::uint64_t rem = n - 1 - i;
-    const std::uint64_t* const r0 =
-        &sc.pos_bits[static_cast<std::size_t>(quads[i].pos[0]) * words];
-    const std::uint64_t* const r1 =
-        &sc.pos_bits[static_cast<std::size_t>(quads[i].pos[1]) * words];
-    const std::uint64_t* const r2 =
-        &sc.pos_bits[static_cast<std::size_t>(quads[i].pos[2]) * words];
-    const std::uint64_t* const r3 =
-        &sc.pos_bits[static_cast<std::size_t>(quads[i].pos[3]) * words];
+    const std::uint64_t* const r0 = &pos_bits[quads[i].pos[0] * kMaxQuadWords];
+    const std::uint64_t* const r1 = &pos_bits[quads[i].pos[1] * kMaxQuadWords];
+    const std::uint64_t* const r2 = &pos_bits[quads[i].pos[2] * kMaxQuadWords];
+    const std::uint64_t* const r3 = &pos_bits[quads[i].pos[3] * kMaxQuadWords];
     for (std::uint32_t w = 0; w < words; ++w) {
       conflict[w] = r0[w] | r1[w] | r2[w] | r3[w];
     }
@@ -466,7 +535,8 @@ MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
           stop = true;
           break;
         }
-        const std::uint16_t octet = static_cast<std::uint16_t>(si | sets[j]);
+        const std::uint16_t octet =
+            static_cast<std::uint16_t>(si | quads[j].set);
         const std::uint16_t complement =
             static_cast<std::uint16_t>(octet ^ kFullSet);
         if ((seen[complement >> 6] >> (complement & 63)) & 1) {
@@ -498,13 +568,7 @@ MmaTileSearchResult reorder_mma_tile(std::span<const std::uint16_t> col_masks,
     iterations = std::min(base + rem, budget);
   }
   if (stats) stats->pair_iterations += iterations;
-
-  if (fallback) {
-    result.permutation = *fallback;
-    return result;
-  }
-  result.evict_position = least_frequent_real();
-  return result;
+  return scan_exhausted();
 }
 
 }  // namespace jigsaw::core

@@ -14,14 +14,15 @@
 // changing outcomes: an identity fast path (most tiles at high sparsity
 // already comply), and randomized greedy cover attempts that find a
 // solution quickly when compatible groups are plentiful (the exhaustive
-// search still runs when greedy fails). Among valid solutions, schemes
+// search still runs when greedy fails, unless it provably cannot complete
+// a cover inside its iteration budget). Among valid solutions, schemes
 // whose eight-column groups span all eight shared-memory bank residues are
 // preferred, implementing the conflict-aware selection of §3.4.1.
 //
 // Every search that gets past the two fast paths enumerates its quads
 // afresh into thread-local scratch. The enumeration is a pruned loop over
 // 16-bit row masks, cheaper than any lookup that would replay a stored
-// list; only the greedy and pair phases consume the rng.
+// list; only the greedy phase consumes the rng.
 #pragma once
 
 #include <array>

@@ -59,8 +59,13 @@ void build_panel_masks(const DenseMatrix<fp16_t>& a, std::size_t row_begin,
       std::uint64_t w;
       std::memcpy(&w, row + c, sizeof w);
       if ((w & kMagnitudeBits) == 0) continue;
-      for (std::size_t j = c; j < c + kWord; ++j) {
-        if (!row[j].is_zero()) masks[j * stride] |= bit;
+      // Adding 0x7fff to a lane's magnitude carries into the lane's bit 15
+      // exactly when the entry is not ±0, so the four ORs need no branch.
+      const std::uint64_t live =
+          ((w & kMagnitudeBits) + kMagnitudeBits) & ~kMagnitudeBits;
+      for (std::size_t j = 0; j < kWord; ++j) {
+        const auto on = static_cast<std::uint16_t>((live >> (16 * j + 15)) & 1);
+        masks[(c + j) * stride] |= static_cast<std::uint16_t>(bit * on);
       }
     }
     for (; c < cols; ++c) {

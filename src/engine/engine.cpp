@@ -91,6 +91,9 @@ bool any_candidate_reordered(const core::JigsawPlan& plan) {
 }  // namespace
 
 std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a) {
+  JIGSAW_TRACE_SCOPE("engine", "engine.hash");
+  static obs::Histogram& seconds = obs::histogram("engine.hash_seconds");
+  const obs::ScopedTimer timer(seconds);
   // Four independent lanes over the 8-byte words of the payload (four
   // entries each), so the multiplies of neighbouring words overlap. Every
   // step after a word's round is a bijection of the state, so changing

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace jigsaw::engine {
 
@@ -38,6 +39,10 @@ std::shared_ptr<const CompiledMatrix> PlanCache::find(const CacheKey& key) {
 Result<std::shared_ptr<const CompiledMatrix>> PlanCache::insert(
     const CacheKey& key, std::shared_ptr<const CompiledMatrix> value,
     std::size_t bytes) {
+  JIGSAW_TRACE_SCOPE("engine", "engine.cache.insert");
+  static obs::Histogram& seconds =
+      obs::histogram("engine.cache.insert_seconds");
+  const obs::ScopedTimer timer(seconds);
   if (bytes > capacity_bytes_) {
     return Status(StatusCode::kCapacityExhausted,
                   "compiled artifact of " + std::to_string(bytes) +

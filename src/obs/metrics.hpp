@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -108,6 +109,31 @@ Histogram& histogram(std::string_view name);
 void add(std::string_view counter_name, double delta = 1.0);
 void gauge_set(std::string_view gauge_name, double value);
 void observe(std::string_view histogram_name, double value);
+
+/// RAII stage timer: observes the seconds from construction to destruction
+/// into `h`, so it covers every return path of its scope, as TraceScope
+/// does for spans. It reads the clock only when metrics are on at
+/// construction.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(Histogram& h) : h_(h), active_(metrics_enabled()) {
+    if (active_) start_ = std::chrono::steady_clock::now();
+  }
+  ~ScopedTimer() {
+    if (active_) {
+      h_.observe(std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start_)
+                     .count());
+    }
+  }
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ private:
+  Histogram& h_;
+  std::chrono::steady_clock::time_point start_{};
+  bool active_;
+};
 
 /// Point-in-time copy of every registered instrument, sorted by name.
 struct MetricsSnapshot {

@@ -1,41 +1,66 @@
 #include "sptc/metadata.hpp"
 
+#include <bit>
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace jigsaw::sptc {
+
+namespace {
+
+/// Marks a group mask with three or more nonzeros in kGroupRule.
+constexpr std::uint8_t kViolates = 0xff;
+
+/// Group rule, indexed by a 4-group's nonzero mask (bit j: in-group index
+/// j is not ±0): the group's metadata nibble, idx0 | idx1 << 2, or
+/// kViolates. The kept indices are the nonzeros ascending, padded with the
+/// lowest unused indices, so idx0 < idx1 always holds.
+constexpr std::array<std::uint8_t, 16> kGroupRule = [] {
+  std::array<std::uint8_t, 16> rule{};
+  for (unsigned mask = 0; mask < 16; ++mask) {
+    if (std::popcount(mask) > 2) {
+      rule[mask] = kViolates;
+      continue;
+    }
+    int idx[2] = {0, 0};
+    int kept = 0;
+    for (int j = 0; j < 4; ++j) {
+      if (mask & (1u << j)) idx[kept++] = j;
+    }
+    for (int j = 0; kept < 2; ++j) {
+      if (!(mask & (1u << j))) idx[kept++] = j;
+    }
+    if (idx[0] > idx[1]) std::swap(idx[0], idx[1]);
+    rule[mask] = static_cast<std::uint8_t>(idx[0] | idx[1] << 2);
+  }
+  return rule;
+}();
+
+}  // namespace
 
 bool compress_tile(ConstSpan2d<fp16_t> logical, CompressedTile& out) {
   JIGSAW_CHECK(logical.rows() == kTileRows &&
                logical.cols() == kTileLogicalCols);
   for (int r = 0; r < kTileRows; ++r) {
+    const fp16_t* row = logical.row(static_cast<std::size_t>(r));
+    fp16_t* values = out.values.data() + r * kTileCompressedCols;
     std::uint32_t meta = 0;
     for (int g = 0; g < kGroupsPerRow; ++g) {
-      // Gather the in-group indices of the nonzeros.
-      int idx[4];
-      int nnz = 0;
-      for (int j = 0; j < 4; ++j) {
-        if (!logical(r, 4 * g + j).is_zero()) {
-          if (nnz == 2) return false;  // 2:4 violated
-          idx[nnz++] = j;
-        }
-      }
-      // Pad to exactly two kept slots with the lowest unused indices; the
-      // padded slots carry zero values so the MAC result is unaffected.
-      for (int j = 0; nnz < 2 && j < 4; ++j) {
-        bool used = false;
-        for (int t = 0; t < nnz; ++t) used |= (idx[t] == j);
-        if (!used) idx[nnz++] = j;
-      }
-      if (idx[0] > idx[1]) std::swap(idx[0], idx[1]);
-
-      for (int slot = 0; slot < 2; ++slot) {
-        out.values[r * kTileCompressedCols + 2 * g + slot] =
-            logical(r, 4 * g + idx[slot]);
-        meta |= static_cast<std::uint32_t>(idx[slot])
-                << (4 * g + 2 * slot);
-      }
+      const fp16_t* group = row + 4 * g;
+      const unsigned mask = (group[0].is_zero() ? 0u : 1u) |
+                            (group[1].is_zero() ? 0u : 2u) |
+                            (group[2].is_zero() ? 0u : 4u) |
+                            (group[3].is_zero() ? 0u : 8u);
+      const std::uint8_t rule = kGroupRule[mask];
+      if (rule == kViolates) return false;
+      // The padded slots copy their ±0 as they are, so the MAC result is
+      // unaffected.
+      values[2 * g] = group[rule & 3u];
+      values[2 * g + 1] = group[rule >> 2];
+      meta |= static_cast<std::uint32_t>(rule) << (4 * g);
     }
-    out.metadata[r] = meta;
+    out.metadata[static_cast<std::size_t>(r)] = meta;
   }
   return true;
 }

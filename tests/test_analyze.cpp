@@ -144,18 +144,6 @@ TEST(AnalyzeParser, CtorInitListBraceInitDoesNotEatTheBody) {
   EXPECT_EQ(model.structs[0].members.size(), 2u);
 }
 
-TEST(AnalyzeParser, RecordsNamespaceScopeGlobals) {
-  const lint::SourceFile f = lint::parse_source("m.cpp",
-      "namespace x {\n"
-      "int g_count = 0;\n"
-      "void fn();\n"          // declaration, not a global
-      "using Alias = int;\n"  // alias, not a global
-      "}\n");
-  const analyze::FileModel model = analyze::build_model(f);
-  ASSERT_EQ(model.globals.size(), 1u);
-  EXPECT_EQ(model.globals[0], "g_count");
-}
-
 // ---- Rule behavior on inline snippets ------------------------------------
 
 std::vector<lint::Finding> run_snippet(const std::string& code,

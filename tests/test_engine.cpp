@@ -19,6 +19,7 @@
 #include <bit>
 #include <future>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "engine/engine.hpp"
 #include "matrix/reference.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace jigsaw::engine {
 namespace {
@@ -191,6 +193,65 @@ TEST(EngineCache, RawBankConflictFlagDoesNotSplitTheCache) {
   ASSERT_TRUE(second.ok()) << second.status().to_string();
   EXPECT_EQ(first.value().get(), second.value().get());
   EXPECT_EQ(engine.cache_stats().entries, 1u);
+}
+
+// ---- Compile stages -------------------------------------------------------
+
+/// Spans named `name` that start and end inside [begin, end].
+std::size_t spans_within(const std::vector<obs::TraceEvent>& events,
+                         std::string_view name, std::uint64_t begin,
+                         std::uint64_t end) {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(), [&](const auto& e) {
+        return e.name == name && e.start_ns >= begin &&
+               e.start_ns + e.duration_ns <= end;
+      }));
+}
+
+std::size_t spans_named(const std::vector<obs::TraceEvent>& events,
+                        std::string_view name) {
+  return spans_within(events, name, 0, UINT64_MAX);
+}
+
+TEST(EngineTrace, ColdCompileRecordsOneSpanPerStage) {
+  // A compile splits into content hash, reorder, format build,
+  // validation and cache insert; a warm compile only hashes.
+  obs::reset_metrics();
+  obs::reset_trace();
+  obs::set_enabled(true);
+  Engine engine;
+  const auto a = sample_lhs();
+  EngineOptions options;
+  options.policy = ExecutionPolicy::kChecked;
+  ASSERT_TRUE(engine.compile(a, options).ok());
+  const std::vector<obs::TraceEvent> cold = obs::trace_snapshot();
+  obs::reset_trace();
+  ASSERT_TRUE(engine.compile(a, options).ok());
+  const std::vector<obs::TraceEvent> warm = obs::trace_snapshot();
+  obs::set_enabled(false);
+  obs::reset_trace();
+
+  ASSERT_EQ(spans_named(cold, "engine.compile"), 1u);
+  const auto compile =
+      std::find_if(cold.begin(), cold.end(), [](const auto& e) {
+        return std::string_view(e.name) == "engine.compile";
+      });
+  const std::uint64_t begin = compile->start_ns;
+  const std::uint64_t end = begin + compile->duration_ns;
+  for (const char* stage : {"engine.hash", "reorder.plan", "format.build",
+                            "format.validate", "engine.cache.insert"}) {
+    EXPECT_EQ(spans_named(cold, stage), 1u) << stage;
+    EXPECT_EQ(spans_within(cold, stage, begin, end), 1u) << stage;
+  }
+
+  EXPECT_EQ(spans_named(warm, "engine.compile"), 1u);
+  EXPECT_EQ(spans_named(warm, "engine.hash"), 1u);
+  EXPECT_EQ(spans_named(warm, "reorder.plan"), 0u);
+
+  // Each new stage histogram observes once per call.
+  EXPECT_EQ(obs::histogram("engine.hash_seconds").count(), 2u);
+  EXPECT_EQ(obs::histogram("format.validate_seconds").count(), 1u);
+  EXPECT_EQ(obs::histogram("engine.cache.insert_seconds").count(), 1u);
 }
 
 // ---- Eviction and the byte bound ------------------------------------------
@@ -690,18 +751,18 @@ TEST(EnginePolicy, RawRouteChoosesOncePerWidth) {
 
 TEST(EngineSteadyState, WarmedUpSubmitsAllocateNothing) {
   // The zero-allocation contract of the serving path: after a worker's
-  // arena has grown to the request shape and the pool's caches are primed,
-  // the kernel proper (the window `jigsaw.engine.submit.allocations`
-  // counts) must touch the heap zero times per submit — on the default
-  // route and on kRaw V4, whose memoized BLOCK_TILE choice is made before
-  // the window opens.
+  // kernel scratch has grown to the request shape and the pool's caches
+  // are primed, the kernel proper (the window
+  // `jigsaw.engine.submit.allocations` counts) must touch the heap zero
+  // times per submit — on the default route and on kRaw V4, whose
+  // memoized BLOCK_TILE choice is made before the window opens.
   for (const ExecutionPolicy policy :
        {ExecutionPolicy::kAuto, ExecutionPolicy::kRaw}) {
     SCOPED_TRACE(core::to_string(policy));
     obs::reset_metrics();
     obs::set_metrics_enabled(true);
     EngineConfig config;
-    config.worker_threads = 1;  // one worker -> one arena -> deterministic
+    config.worker_threads = 1;  // one worker -> one scratch -> deterministic
     Engine engine(config);
 
     const auto a = lhs_for({128, 256, 80, 4, 22});
@@ -711,12 +772,14 @@ TEST(EngineSteadyState, WarmedUpSubmitsAllocateNothing) {
     auto compiled = engine.compile(a, options);
     ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
 
-    // Warm-up: grows the worker arena, primes thread-pool and obs caches.
+    // Warm-up: grows the worker's scratch, primes thread-pool and obs
+    // caches.
     for (int i = 0; i < 3; ++i) {
       auto warm = engine.submit(compiled.value(), b).get();
       ASSERT_TRUE(warm.ok()) << warm.status().to_string();
     }
-    // The window covers this route: the cold submit grew the arena in it.
+    // The window covers this route: the cold submit grew the scratch in
+    // it.
     const double before = counter_value("jigsaw.engine.submit.allocations");
     EXPECT_GT(before, 0.0);
     for (int i = 0; i < 5; ++i) {
@@ -786,7 +849,8 @@ TEST(EngineSteadyState, NeighbourAllocationsStayOutOfTheWindow) {
 
 TEST(EngineSteadyState, AllocationCounterTracksColdSubmits) {
   // Counterpart guard: the counter is live, not a constant zero — the
-  // first (cold) submit grows the arena inside the counted window.
+  // first (cold) submit grows the worker's scratch inside the counted
+  // window.
   obs::reset_metrics();
   obs::set_metrics_enabled(true);
   EngineConfig config;
@@ -800,7 +864,7 @@ TEST(EngineSteadyState, AllocationCounterTracksColdSubmits) {
   auto first = engine.submit(compiled.value(), b).get();
   ASSERT_TRUE(first.ok());
   EXPECT_GT(counter_value("jigsaw.engine.submit.allocations"), 0.0)
-      << "cold submit should have grown the worker arena in-window";
+      << "cold submit should have grown the worker scratch in-window";
   obs::set_metrics_enabled(false);
 }
 

@@ -165,17 +165,19 @@ TEST(EngineStress, SameKeyCompiledFromEveryThread) {
   EXPECT_GT(engine.cache_stats().hits, 0u);
 }
 
-TEST(EngineStress, ArenaReuseAcrossShapeChangingSubmits) {
-  // Each pool worker owns one scratch arena that every submit reuses; the
-  // risk under concurrency is stale-capacity reuse — request A's scratch
-  // shape bleeding into request B on the same worker. Hammer one small
-  // pool with interleaved shapes (different k, n, and m) from many client
+TEST(EngineStress, ScratchReuseAcrossShapeChangingSubmits) {
+  // Each pool worker's thread owns the kernel's per-thread scratch (the
+  // float-staged B and the panel base table), which every submit on that
+  // worker reuses and grows only when a request needs more; the risk
+  // under concurrency is stale-capacity reuse — request A's scratch shape
+  // bleeding into request B on the same worker. Hammer one small pool
+  // with interleaved shapes (different k, n, and m) from many client
   // threads and require every product bit-identical to its ground truth.
-  // Under TSan this also proves arena install/reset never races.
+  // Under TSan this also proves no thread touches another's scratch.
   Engine reference_engine;
   std::vector<Workload> work = make_workloads(reference_engine);
   // A deliberately bigger RHS so consecutive submits on one worker swing
-  // the arena's float-staged B between very different sizes.
+  // the scratch's float-staged B between very different sizes.
   {
     Workload wide;
     wide.a = dlmc::make_lhs({128, 256}, 0.9, 4, 91).values();
@@ -190,7 +192,7 @@ TEST(EngineStress, ArenaReuseAcrossShapeChangingSubmits) {
   ASSERT_EQ(work.size(), 5u);
 
   EngineConfig config;
-  config.worker_threads = 2;  // few workers -> heavy per-arena reuse
+  config.worker_threads = 2;  // few workers -> heavy per-thread reuse
   Engine engine(config);
   std::vector<std::shared_ptr<const CompiledMatrix>> handles;
   for (const Workload& w : work) {

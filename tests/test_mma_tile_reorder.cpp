@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 namespace jigsaw::core {
 namespace {
@@ -174,6 +176,73 @@ TEST(ReorderMmaTile, PropertyRandomSweep) {
     }
   }
   EXPECT_GT(successes, 50);  // sparse tiles are usually solvable
+}
+
+TEST(ReorderMmaTile, NoCoverBeforeThePositionZeroBound) {
+  // The lemma behind the search's early return from the pair scan: in
+  // enumeration order the first n0 quads hold position 0, and the plain
+  // (i < j) scan cannot meet a complement it has already formed before
+  // its first pair with i = n0, ordinal n0(n-1) - n0(n0-1)/2 + 1. Walk
+  // that scan by brute force over seeded row-blocked tiles that reach it
+  // (neither 2:4 as they stand nor with a row over eight nonzeros).
+  Rng gen(27);
+  int tiles = 0, hits = 0, past_budget = 0;
+  std::vector<std::uint8_t> formed(1u << 16);
+  MmaTileQuadList quads;
+  for (const int v : {1, 2, 4, 8}) {
+    for (const int pct : {10, 20, 30, 40, 50}) {
+      for (int t = 0; t < 25; ++t) {
+        Masks masks{};
+        for (auto& m : masks) {
+          for (int b = 0; b < kMmaTile / v; ++b) {
+            if (static_cast<int>(gen.next_below(100)) < pct) {
+              m |= static_cast<std::uint16_t>(((1u << v) - 1) << (b * v));
+            }
+          }
+        }
+        bool infeasible = false;
+        for (int r = 0; r < kMmaTile; ++r) {
+          int row_count = 0;
+          for (const auto m : masks) row_count += (m >> r) & 1;
+          infeasible |= row_count > 8;
+        }
+        if (infeasible || tile_satisfies_two_four(masks)) continue;
+        ++tiles;
+
+        enumerate_compatible_quads(masks, quads);
+        const std::uint64_t n = quads.size();
+        std::uint64_t n0 = 0;
+        while (n0 < n && quads[n0].pos[0] == 0) ++n0;
+        for (std::uint64_t i = n0; i < n; ++i) ASSERT_NE(quads[i].pos[0], 0);
+        if (n0 == 0) continue;
+        const std::uint64_t bound = n0 * (n - 1) - n0 * (n0 - 1) / 2 + 1;
+        past_budget += bound > 150000;  // the search's pair budget
+
+        std::fill(formed.begin(), formed.end(), 0);
+        std::uint64_t ord = 0, first_hit = 0;
+        for (std::uint64_t i = 0; i < n && first_hit == 0; ++i) {
+          for (std::uint64_t j = i + 1; j < n; ++j) {
+            ++ord;
+            if (quads[i].set & quads[j].set) continue;
+            const auto octet =
+                static_cast<std::uint16_t>(quads[i].set | quads[j].set);
+            if (formed[octet ^ 0xffffu]) {
+              first_hit = ord;
+              break;
+            }
+            formed[octet] = 1;
+          }
+        }
+        if (first_hit == 0) continue;
+        ++hits;
+        EXPECT_GE(first_hit, bound)
+            << "v=" << v << " density=" << pct << "% n=" << n << " n0=" << n0;
+      }
+    }
+  }
+  EXPECT_GT(tiles, 100);
+  EXPECT_GT(hits, 100);
+  EXPECT_GT(past_budget, 50);
 }
 
 TEST(TwoPerGroupPermutation, AlwaysValidAndSafe) {

@@ -307,6 +307,16 @@ TEST_F(ObsTest, HistogramEmpty) {
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
 }
 
+TEST_F(ObsTest, ScopedTimerObservesOncePerScopeWhileEnabled) {
+  Histogram& h = histogram("obs_test.scoped_timer");
+  { const ScopedTimer timer(h); }
+  EXPECT_EQ(h.count(), 0u);
+  set_metrics_enabled(true);
+  { const ScopedTimer timer(h); }
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_GE(h.min(), 0.0);
+}
+
 TEST_F(ObsTest, SnapshotIsSortedAndComplete) {
   set_metrics_enabled(true);
   add("obs_test.snap_b", 2.0);

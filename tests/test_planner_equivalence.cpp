@@ -90,6 +90,57 @@ TEST(PlannerEquivalence, GoldenFingerprintsWithRescueDisabled) {
   }
 }
 
+// Search counters of the golden configs with rescue disabled, in
+// golden_configs() order. perfbench's layer table reads tile_searches and
+// evictions, and the registry publishes all five, so a planner shortcut
+// must leave every one of them where the full search puts it.
+struct GoldenCounters {
+  std::uint64_t tile_searches, identity_tiles, greedy_attempts,
+      pair_iterations, evictions;
+};
+
+const std::vector<GoldenCounters>& golden_counters() {
+  static const std::vector<GoldenCounters> kCounters = {
+      {1394, 18, 15642, 36639590, 890},
+      {2345, 103, 17819, 47056212, 1601},
+      {469, 87, 8743, 20569726, 37},
+      {536, 217, 6994, 12335035, 11},
+      {732, 185, 7233, 18142688, 262},
+      {298, 159, 2566, 3600000, 0},
+      {300, 265, 680, 900000, 0},
+      {290, 268, 389, 450000, 0},
+      {577, 5, 601, 538987, 508},
+      {84, 82, 22, 0, 0},
+      {286, 228, 1243, 2400000, 0},
+      {3357, 10, 1369, 943278, 3195},
+      {1833, 375, 34401, 79758765, 115},
+      {2124, 848, 26947, 49984444, 28},
+      {712, 653, 914, 1050000, 0},
+      {121, 34, 272, 300000, 67},
+  };
+  return kCounters;
+}
+
+TEST(PlannerEquivalence, SearchCountersMatchGolden) {
+  ASSERT_EQ(golden_counters().size(), golden_configs().size());
+  for (std::size_t i = 0; i < golden_configs().size(); ++i) {
+    const GoldenConfig& c = golden_configs()[i];
+    const GoldenCounters& want = golden_counters()[i];
+    ReorderOptions opt = options_for(c);
+    opt.rescue_attempts = 0;
+    const PlanStats s =
+        multi_granularity_reorder(matrix_for(c), opt, filter_for(c)).stats;
+    SCOPED_TRACE(::testing::Message()
+                 << c.m << "x" << c.k << " sp=" << c.sparsity_pct
+                 << " v=" << c.v << " bt=" << c.bt);
+    EXPECT_EQ(s.tile_searches, want.tile_searches);
+    EXPECT_EQ(s.identity_tiles, want.identity_tiles);
+    EXPECT_EQ(s.greedy_attempts, want.greedy_attempts);
+    EXPECT_EQ(s.pair_iterations, want.pair_iterations);
+    EXPECT_EQ(s.evictions, want.evictions);
+  }
+}
+
 TEST(PlannerEquivalence, DefaultsMatchGoldenWhenRescueIsIdle) {
   // Rescue only touches panels whose plan grew past K; for configs the
   // original planner succeeded on, the default options must reproduce the

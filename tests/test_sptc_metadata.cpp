@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+
 #include "common/rng.hpp"
 #include "matrix/dense.hpp"
 #include "sptc/shapes.hpp"
@@ -88,6 +91,63 @@ TEST(Metadata, MetadataBitPacking) {
   EXPECT_EQ(static_cast<float>(ct.value(0, 3)), 4.0f);
   EXPECT_EQ(ct.logical_col(0, 1), 3);
   EXPECT_EQ(ct.logical_col(0, 2), 5);
+}
+
+TEST(Metadata, CompressFollowsTheGroupRuleOnEveryPattern) {
+  // The documented rule, per 4-group: the kept indices are the nonzeros
+  // ascending, padded with the lowest unused indices; the kept values,
+  // ±0 padding slots included, are copied bit for bit; three or more
+  // nonzeros reject the tile. Every nonzero pattern, with +0 and -0.
+  for (const std::uint16_t zero_bits : {0x0000, 0x8000}) {
+    const fp16_t zero = fp16_t::from_bits(zero_bits);
+    for (unsigned pattern = 0; pattern < 16; ++pattern) {
+      SCOPED_TRACE(::testing::Message() << "pattern " << pattern << " zero 0x"
+                                        << std::hex << zero_bits);
+      const auto value_at = [&](std::size_t r, std::size_t c) {
+        return (pattern >> (c % 4)) & 1u
+                   ? fp16_t(1.0f + static_cast<float>(r * 32 + c) / 1024.0f)
+                   : zero;
+      };
+      DenseMatrix<fp16_t> tile(kTileRows, kTileLogicalCols);
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        for (std::size_t c = 0; c < kTileLogicalCols; ++c) {
+          tile(r, c) = value_at(r, c);
+        }
+      }
+      CompressedTile ct;
+      if (std::popcount(pattern) > 2) {
+        EXPECT_FALSE(compress_tile(tile.view(), ct));
+        // One such group among all-zero ones rejects the tile too.
+        DenseMatrix<fp16_t> lone(kTileRows, kTileLogicalCols);
+        for (std::size_t c = 20; c < 24; ++c) lone(7, c) = value_at(7, c);
+        EXPECT_FALSE(compress_tile(lone.view(), ct));
+        continue;
+      }
+      int kept[2] = {0, 0};
+      int n = 0;
+      for (int j = 0; j < 4; ++j) {
+        if ((pattern >> j) & 1u) kept[n++] = j;
+      }
+      for (int j = 0; n < 2; ++j) {
+        if (!((pattern >> j) & 1u)) kept[n++] = j;
+      }
+      if (kept[0] > kept[1]) std::swap(kept[0], kept[1]);
+
+      ASSERT_TRUE(compress_tile(tile.view(), ct));
+      for (int r = 0; r < kTileRows; ++r) {
+        for (int g = 0; g < kGroupsPerRow; ++g) {
+          for (int slot = 0; slot < 2; ++slot) {
+            const int c = 2 * g + slot;
+            EXPECT_EQ(ct.index(r, c), kept[slot]);
+            EXPECT_EQ(ct.value(r, c).bits(),
+                      tile(static_cast<std::size_t>(r),
+                           static_cast<std::size_t>(4 * g + kept[slot]))
+                          .bits());
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Metadata, CompressedSizeMatchesPaper) {

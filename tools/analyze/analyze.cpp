@@ -132,28 +132,6 @@ bool parse_member(const std::vector<Token>& toks, std::size_t begin,
   return false;
 }
 
-// Namespace-scope variable name from head tokens [begin, end), or "".
-std::string parse_global(const std::vector<Token>& toks, std::size_t begin,
-                         std::size_t end) {
-  if (begin >= end) return "";
-  static const std::set<std::string> kSkipLead = {
-      "using",  "typedef", "template", "friend", "class",  "struct",
-      "union",  "enum",    "extern",   "static_assert", "namespace"};
-  if (kSkipLead.count(toks[begin].text) > 0) return "";
-  std::size_t name_end = end;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (toks[i].text == "(") return "";  // function declaration
-    if (toks[i].text == "=" || toks[i].text == "{" || toks[i].text == "[") {
-      name_end = i;
-      break;
-    }
-  }
-  for (std::size_t i = name_end; i > begin + 1; --i) {
-    if (toks[i - 1].kind == Token::Kind::kIdent) return toks[i - 1].text;
-  }
-  return "";
-}
-
 }  // namespace
 
 FileModel build_model(const SourceFile& f) {
@@ -275,11 +253,6 @@ FileModel build_model(const SourceFile& f) {
         if (parse_member(toks, head, i, m)) {
           model.structs[stack.back().struct_index].members.push_back(m);
         }
-      } else if (!in_function() &&
-                 (stack.empty() ||
-                  stack.back().kind == Scope::Kind::kNamespace)) {
-        const std::string g = parse_global(toks, head, i);
-        if (!g.empty()) model.globals.push_back(g);
       }
       head = i + 1;
     }

@@ -82,7 +82,6 @@ struct FileModel {
   const lint::SourceFile* file = nullptr;
   std::vector<StructInfo> structs;
   std::vector<Function> functions;
-  std::vector<std::string> globals;  ///< namespace-scope variable names
 };
 
 /// Parses `f`'s token stream into scopes, member tables and function
