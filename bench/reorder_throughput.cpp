@@ -77,6 +77,24 @@ void bench_compile_ffn(benchmark::State& state) {
                           static_cast<std::int64_t>(shape.m * shape.k));
 }
 
+void bench_format_validate(benchmark::State& state) {
+  // JigsawFormat::validate() of bench_compile_ffn's format, the check
+  // every compile and every update runs once.
+  const auto a = dlmc::make_lhs({4096, 1024}, 0.90, 4);
+  core::ReorderOptions opts;
+  opts.tile.block_tile_m = 64;
+  const auto format = core::JigsawFormat::build(
+      a.values(), core::multi_granularity_reorder(a.values(), opts));
+  for (auto _ : state) {
+    const Status valid = format.validate();
+    if (!valid.ok()) {
+      state.SkipWithError(valid.to_string().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(valid);
+  }
+}
+
 void bench_full_plan(benchmark::State& state) {
   // The complete V4 preprocessing (three reorders + three format builds):
   // the cost a user amortizes over inference runs.
@@ -99,6 +117,7 @@ BENCHMARK(jigsaw::bench_format_build)
     ->Arg(95)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(jigsaw::bench_compile_ffn)->Unit(benchmark::kMillisecond);
+BENCHMARK(jigsaw::bench_format_validate)->Unit(benchmark::kMillisecond);
 BENCHMARK(jigsaw::bench_full_plan)->Unit(benchmark::kMillisecond);
 
 // Custom main instead of BENCHMARK_MAIN: `--json` writes the machine-

@@ -46,6 +46,37 @@ Status check_metadata_word(std::uint32_t word, std::size_t where) {
   return Status::Ok();
 }
 
+/// Fast accept of the metadata check: true when every word satisfies the
+/// 2-per-4 group encoding. Per 4-bit group, with lo its low and hi its
+/// high 2-bit index, (hi | 4) - lo - 1 = 3 + hi - lo lies in 0..6: it
+/// never borrows from the next group, and its bit 2 is set exactly when
+/// lo < hi. So the word is valid when all eight bit-2s are set.
+bool metadata_words_valid(const std::vector<std::uint32_t>& words) {
+  std::uint32_t bad = 0;
+  for (const std::uint32_t w : words) {
+    const std::uint32_t lo = w & 0x33333333u;
+    const std::uint32_t hi = (w >> 2) & 0x33333333u;
+    bad |= ~((hi | 0x44444444u) - lo - 0x11111111u) & 0x44444444u;
+  }
+  return bad == 0;
+}
+
+/// Fast accept of the block_col_idx check: true when each 16-entry group
+/// of `perm` (whose size is a multiple of 16) holds only entries below 16
+/// that together set all 16 bits, that is, a permutation of 0..15.
+bool permutations_valid(const std::vector<std::uint32_t>& perm) {
+  std::uint32_t bad = 0;
+  for (std::size_t g = 0; g < perm.size(); g += kMmaTile) {
+    std::uint32_t any = 0, mask = 0;
+    for (std::size_t j = 0; j < kMmaTile; ++j) {
+      any |= perm[g + j];
+      mask |= 1u << (perm[g + j] & 15u);
+    }
+    bad |= (any & ~15u) | (mask ^ 0xFFFFu);
+  }
+  return bad == 0;
+}
+
 }  // namespace
 
 Status JigsawFormat::validate() const {
@@ -135,25 +166,28 @@ Status JigsawFormat::validate() const {
   }
 
   // ---- block_col_idx_array: one 16-entry bijection over 0..15 per
-  // (panel, slice, tile).
+  // (panel, slice, tile). The loop runs only when the branch-free sweep
+  // finds a bad group, to report the first one.
   JIGSAW_VALIDATE(block_col_idx_.size() == tiles * slices * kMmaTile,
                   "block_col_idx_array holds "
                       << block_col_idx_.size() << " entries, headers imply "
                       << tiles * slices * kMmaTile);
-  for (std::size_t g = 0; g * kMmaTile < block_col_idx_.size(); ++g) {
-    std::uint32_t mask = 0;
-    for (int j = 0; j < kMmaTile; ++j) {
-      const std::uint32_t pos = block_col_idx_[g * kMmaTile +
-                                               static_cast<std::size_t>(j)];
-      JIGSAW_VALIDATE(pos < kMmaTile, "block_col_idx group "
-                                          << g << " entry " << j << " = "
-                                          << pos << " out of range");
-      mask |= 1u << pos;
+  if (!permutations_valid(block_col_idx_)) {
+    for (std::size_t g = 0; g * kMmaTile < block_col_idx_.size(); ++g) {
+      std::uint32_t mask = 0;
+      for (int j = 0; j < kMmaTile; ++j) {
+        const std::uint32_t pos =
+            block_col_idx_[g * kMmaTile + static_cast<std::size_t>(j)];
+        JIGSAW_VALIDATE(pos < kMmaTile, "block_col_idx group "
+                                            << g << " entry " << j << " = "
+                                            << pos << " out of range");
+        mask |= 1u << pos;
+      }
+      JIGSAW_VALIDATE(mask == 0xFFFFu,
+                      "block_col_idx group " << g
+                                             << " is not a permutation of "
+                                                "0..15");
     }
-    JIGSAW_VALIDATE(mask == 0xFFFFu,
-                    "block_col_idx group " << g
-                                           << " is not a permutation of "
-                                              "0..15");
   }
 
   // ---- Payload and metadata sizes implied by the headers: the values
@@ -168,11 +202,16 @@ Status JigsawFormat::validate() const {
       "metadata array holds " << metadata_.size() << " words, headers imply "
                               << pairs * slices * metadata_words_per_pair());
 
-  // ---- Metadata words: decode through the same path the kernel uses
-  // (undoing the §3.4.3 interleaved layout where it applies) and check
-  // the per-group encoding. A word is reported by its naive-layout flat
-  // index: the panel's base, then (slice, pair, row). The base runs across
-  // panels; the size check above keeps every read in bounds.
+  // ---- Metadata words: the per-group encoding of every word. The walk
+  // below decodes through the same path the kernel uses (undoing the
+  // §3.4.3 interleaved layout where it applies) and reports a word by its
+  // naive-layout flat index: the panel's base, then (slice, pair, row).
+  // The base runs across panels; the size check above keeps every read in
+  // bounds. The walk reads every word of metadata_ exactly once (the
+  // interleave permutes the 32 words of each aligned pair group), so the
+  // branch-free sweep over the flat array checks the same words, and the
+  // walk runs only when the sweep finds a bad one, to report the first.
+  if (metadata_words_valid(metadata_)) return Status::Ok();
   const std::size_t words_per_pair = metadata_words_per_pair();
   std::size_t panel_base = 0;
   for (const PanelHeader& ph : panels_) {

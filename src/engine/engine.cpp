@@ -34,6 +34,7 @@ constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
 constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
 constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ull;
 constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
 
 /// xxHash64's round: a bijection of `lane` for a fixed word and of `word`
 /// for a fixed lane, so one changed word always changes its lane.
@@ -42,9 +43,78 @@ std::uint64_t hash_round(std::uint64_t lane, std::uint64_t word) {
 }
 
 /// Folds one more 64-bit value into a finished lane sum; a bijection of
-/// `h` for a fixed value.
+/// `h` for a fixed value, and of the value for a fixed `h`.
 std::uint64_t hash_fold(std::uint64_t h, std::uint64_t v) {
   return std::rotl(h ^ hash_round(0, v), 27) * kPrime1 + kPrime4;
+}
+
+/// xxHash64's avalanche, a bijection.
+std::uint64_t avalanche(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
+}
+
+/// matrix_content_hash's term for the operand's shape.
+std::uint64_t shape_term(std::size_t rows, std::size_t cols) {
+  return avalanche(hash_fold(hash_fold(kPrime5, rows), cols));
+}
+
+/// matrix_content_hash's term for row `r` of `a`. Four independent lanes
+/// run over the row's 8-byte words (four entries each), so the multiplies
+/// of neighbouring words overlap; the row's last cols % 4 entries and its
+/// index fold in after. Every step after a word's round is a bijection of
+/// the state, so changing any one entry, ±0 included, changes the term.
+std::uint64_t row_term(const DenseMatrix<fp16_t>& a, std::size_t r) {
+  constexpr std::size_t kEntriesPerWord = sizeof(std::uint64_t) /
+                                          sizeof(fp16_t);
+  const std::size_t cols = a.cols();
+  const fp16_t* row = a.data() + r * cols;
+  const std::size_t words = cols / kEntriesPerWord;
+  const auto word = [row](std::size_t w) {
+    std::uint64_t v;
+    std::memcpy(&v, row + w * kEntriesPerWord, sizeof v);
+    return v;
+  };
+  std::uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      lane[i] = hash_round(lane[i], word(w + i));
+    }
+  }
+  for (std::size_t i = 0; w + i < words; ++i) {
+    lane[i] = hash_round(lane[i], word(w + i));
+  }
+  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+                    std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  std::uint64_t tail = 0;
+  for (std::size_t i = words * kEntriesPerWord; i < cols; ++i) {
+    tail = (tail << 16) | row[i].bits();
+  }
+  return avalanche(hash_fold(hash_fold(h, tail), r));
+}
+
+obs::Histogram& hash_seconds() {
+  static obs::Histogram& seconds = obs::histogram("engine.hash_seconds");
+  return seconds;
+}
+
+/// matrix_content_hash(after), from `before`'s hash `h` when the two
+/// differ only in `rows`: swaps each listed row's term, so it reads
+/// 2 x rows.size() rows instead of the matrix.
+std::uint64_t rehash_rows(std::uint64_t h, const DenseMatrix<fp16_t>& before,
+                          const DenseMatrix<fp16_t>& after,
+                          const std::vector<std::uint32_t>& rows) {
+  JIGSAW_TRACE_SCOPE("engine", "engine.hash");
+  const obs::ScopedTimer timer(hash_seconds());
+  for (const std::uint32_t r : rows) {
+    h += row_term(after, r) - row_term(before, r);
+  }
+  return h;
 }
 
 void apply_epilogue(DenseMatrix<float>& c, const core::Epilogue& epilogue) {
@@ -60,23 +130,15 @@ std::size_t footprint_of(const core::JigsawFormat& f) {
   return f.memory_footprint().total();
 }
 
-/// BLOCK_TILE row panels containing at least one dirty row — the panels
-/// Engine::update re-plans; every other panel's plan and format segments
-/// are reused verbatim.
-std::vector<std::size_t> dirty_panels_of(const std::vector<bool>& row_dirty,
-                                         int block_tile) {
+/// BLOCK_TILE row panels containing at least one of the ascending
+/// `dirty_rows` — the panels Engine::update re-plans; every other panel's
+/// plan and format segments are reused verbatim.
+std::vector<std::size_t> dirty_panels_of(
+    const std::vector<std::uint32_t>& dirty_rows, int block_tile) {
   const auto bt = static_cast<std::size_t>(block_tile);
-  const std::size_t rows = row_dirty.size();
-  const std::size_t num_panels = (rows + bt - 1) / bt;
   std::vector<std::size_t> dirty;
-  for (std::size_t p = 0; p < num_panels; ++p) {
-    const std::size_t row_end = std::min((p + 1) * bt, rows);
-    for (std::size_t r = p * bt; r < row_end; ++r) {
-      if (row_dirty[r]) {
-        dirty.push_back(p);
-        break;
-      }
-    }
+  for (const std::uint32_t r : dirty_rows) {
+    if (dirty.empty() || dirty.back() != r / bt) dirty.push_back(r / bt);
   }
   return dirty;
 }
@@ -92,47 +154,9 @@ bool any_candidate_reordered(const core::JigsawPlan& plan) {
 
 std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a) {
   JIGSAW_TRACE_SCOPE("engine", "engine.hash");
-  static obs::Histogram& seconds = obs::histogram("engine.hash_seconds");
-  const obs::ScopedTimer timer(seconds);
-  // Four independent lanes over the 8-byte words of the payload (four
-  // entries each), so the multiplies of neighbouring words overlap. Every
-  // step after a word's round is a bijection of the state, so changing
-  // any one entry, ±0 included, changes the hash.
-  constexpr std::size_t kEntriesPerWord = sizeof(std::uint64_t) /
-                                          sizeof(fp16_t);
-  const fp16_t* data = a.data();
-  const std::size_t n = a.rows() * a.cols();
-  const std::size_t words = n / kEntriesPerWord;
-  const auto word = [data](std::size_t w) {
-    std::uint64_t v;
-    std::memcpy(&v, data + w * kEntriesPerWord, sizeof v);
-    return v;
-  };
-  std::uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      lane[i] = hash_round(lane[i], word(w + i));
-    }
-  }
-  for (std::size_t i = 0; w + i < words; ++i) {
-    lane[i] = hash_round(lane[i], word(w + i));
-  }
-  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
-                    std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
-  h = hash_fold(h, a.rows());
-  h = hash_fold(h, a.cols());
-  std::uint64_t tail = 0;  // the last n % 4 entries
-  for (std::size_t i = words * kEntriesPerWord; i < n; ++i) {
-    tail = (tail << 16) | data[i].bits();
-  }
-  h = hash_fold(h, tail);
-  // xxHash64's avalanche.
-  h ^= h >> 33;
-  h *= kPrime2;
-  h ^= h >> 29;
-  h *= kPrime3;
-  h ^= h >> 32;
+  const obs::ScopedTimer timer(hash_seconds());
+  std::uint64_t h = shape_term(a.rows(), a.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r) h += row_term(a, r);
   return h;
 }
 
@@ -316,9 +340,8 @@ Status Engine::finalize_artifact(CompiledMatrix& cm) const {
 
 Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
     const CompiledMatrix& base, DenseMatrix<fp16_t> a2,
-    const std::vector<bool>& row_dirty) const {
+    const std::vector<std::uint32_t>& dirty_rows, const CacheKey& key) const {
   const EngineOptions resolved{base.policy, base.options};
-  const CacheKey key{matrix_content_hash(a2), base.options_hash};
 
   // Degraded/hybrid bases route columns off the SpTC path per panel; that
   // routing is not representable by a panel splice, so their successor is
@@ -356,7 +379,7 @@ Result<std::shared_ptr<CompiledMatrix>> Engine::update_artifact(
       ropts.tile = base.plan.reorders[i].tile;
       core::ReorderResult reorder = base.plan.reorders[i];
       const std::vector<std::size_t> dirty =
-          dirty_panels_of(row_dirty, reorder.tile.block_tile_m);
+          dirty_panels_of(dirty_rows, reorder.tile.block_tile_m);
       core::reorder_panels(a2, ropts, dirty, reorder);
       panels_replanned += dirty.size();
       if (base.policy == ExecutionPolicy::kRaw) {
@@ -442,22 +465,31 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
   }
 
   DenseMatrix<fp16_t> a2 = base->lhs;
-  std::vector<bool> row_dirty(base->rows, false);
-  bool changed = false;
   for (const SparseDelta::Entry& e : delta.entries) {
-    if (a2(e.row, e.col).bits() == e.value.bits()) continue;  // no-op entry
     a2(e.row, e.col) = e.value;
-    row_dirty[e.row] = true;
-    changed = true;
   }
-  if (!changed) {
+  // A row is dirty when its final bits differ from the base's, so entries
+  // that cancel out leave it clean.
+  std::vector<std::uint32_t> dirty_rows;
+  for (const SparseDelta::Entry& e : delta.entries) {
+    if (a2(e.row, e.col).bits() != base->lhs(e.row, e.col).bits()) {
+      dirty_rows.push_back(e.row);
+    }
+  }
+  std::sort(dirty_rows.begin(), dirty_rows.end());
+  dirty_rows.erase(std::unique(dirty_rows.begin(), dirty_rows.end()),
+                   dirty_rows.end());
+  if (dirty_rows.empty()) {
     // jigsaw-lint: allow(obs-name): named after the serving API surface
     // (engine.update), not an obs subsystem.
     obs::add("jigsaw.engine.update.noops");
     return base;
   }
 
-  auto rebuilt = update_artifact(*base, std::move(a2), row_dirty);
+  const CacheKey key{
+      rehash_rows(base->matrix_hash, base->lhs, a2, dirty_rows),
+      base->options_hash};
+  auto rebuilt = update_artifact(*base, std::move(a2), dirty_rows, key);
   if (!rebuilt.ok()) {
     // jigsaw-lint: allow(obs-name): named after the serving API surface
     // (engine.update), not an obs subsystem.
@@ -470,18 +502,20 @@ Result<std::shared_ptr<const CompiledMatrix>> Engine::update(
 
   // Insert the new generation's key BEFORE retiring the old one: a failed
   // insert (kCapacityExhausted) must leave the old generation both cached
-  // and serving. erase() then retires exactly the superseded key —
+  // and serving. erase() then retires exactly the superseded generation —
   // unrelated entries keep their recency.
-  const CacheKey new_key{cm->matrix_hash, cm->options_hash};
-  auto inserted = cache_.insert(new_key, cm, cm->footprint_bytes);
+  auto inserted = cache_.insert(key, cm, cm->footprint_bytes);
   if (!inserted.ok()) {
     // jigsaw-lint: allow(obs-name): named after the serving API surface
     // (engine.update), not an obs subsystem.
     obs::add("jigsaw.engine.update.failures");
     return inserted.status();
   }
-  std::shared_ptr<const CompiledMatrix> published = inserted.value();
-  cache_.erase(CacheKey{base->matrix_hash, base->options_hash});
+  // An update can turn its operand into one another lineage already has
+  // cached. insert() then keeps that artifact, and this lineage still
+  // publishes its own generation, which heads_ owns.
+  const std::shared_ptr<const CompiledMatrix> published = cm;
+  cache_.erase(CacheKey{base->matrix_hash, base->options_hash}, base.get());
   obs::gauge_set("engine.cache.bytes",
                  static_cast<double>(cache_.stats().bytes));
   // The RCU swap: new submits going through latest() see the new

@@ -67,10 +67,10 @@ struct EngineConfig {
 };
 
 /// One batch of point mutations against the source operand of an
-/// updatable artifact (EngineOptions::Compile::updatable). Changed
-/// values, newly-nonzero entries, and zeroed entries (value 0) all use
-/// the same spelling; entries whose value already matches the operand
-/// bit-for-bit are no-ops.
+/// updatable artifact (EngineOptions::Compile::updatable), applied in
+/// order. Changed values, newly-nonzero entries, and zeroed entries
+/// (value 0) all use the same spelling; a row whose final bits match the
+/// operand's (entries that match it, or that cancel out) stays clean.
 struct SparseDelta {
   struct Entry {
     std::uint32_t row = 0;
@@ -240,11 +240,15 @@ class Engine {
   /// handle. Degraded/hybrid artifacts and deltas that defeat the
   /// incremental plan fall back to a full recompile internally — still
   /// published atomically, still bit-identical to a fresh compile of the
-  /// mutated matrix. Failure atomicity: on any error (kInvalidArgument
-  /// for a non-updatable handle or out-of-range entries, kReorderFailed
-  /// under kRaw, kCapacityExhausted when the new generation exceeds the
-  /// cache budget, kInternal) the previous generation stays published,
-  /// cached, and serving, bit-identically untouched.
+  /// mutated matrix. A delta that leaves every row clean returns the
+  /// head unchanged. The new generation is always base + 1 on the base's
+  /// lineage, even when the cache already holds another lineage's
+  /// artifact of the same content. Failure atomicity: on any error
+  /// (kInvalidArgument for a non-updatable handle or out-of-range
+  /// entries, kReorderFailed under kRaw, kCapacityExhausted when the new
+  /// generation exceeds the cache budget, kInternal) the previous
+  /// generation stays published, cached, and serving, bit-identically
+  /// untouched.
   [[nodiscard]] Result<std::shared_ptr<const CompiledMatrix>> update(
       const std::shared_ptr<const CompiledMatrix>& handle,
       const SparseDelta& delta);
@@ -267,12 +271,14 @@ class Engine {
       const DenseMatrix<fp16_t>& a, const EngineOptions& resolved,
       const CacheKey& key) const;
 
-  /// Builds the successor artifact for `update`: incremental panel splice
-  /// when the base's plan permits, full recompile fallback otherwise.
-  /// Generation/lineage stamping happens in update().
+  /// Builds the successor artifact for `update` under `key`, from the
+  /// mutated operand and its ascending dirty rows: incremental panel
+  /// splice when the base's plan permits, full recompile fallback
+  /// otherwise. Generation/lineage stamping happens in update().
   [[nodiscard]] Result<std::shared_ptr<CompiledMatrix>> update_artifact(
       const CompiledMatrix& base, DenseMatrix<fp16_t> a2,
-      const std::vector<bool>& row_dirty) const;
+      const std::vector<std::uint32_t>& dirty_rows,
+      const CacheKey& key) const;
 
   /// Shared artifact tail and the one format enforcer: validates every
   /// format the artifact carries (format(), or plan.formats under kRaw),
@@ -298,9 +304,11 @@ class Engine {
   ThreadPool pool_;
 };
 
-/// Content hash over shape and element bits (four xxHash64-style lanes
-/// over 8-byte words), the cache's matrix identity. Any one changed entry,
-/// ±0 included, changes it. Nothing persists it, so its values may change
+/// Content hash over shape and element bits, the cache's matrix identity:
+/// a shape term plus, modulo 2^64, one term per row (four xxHash64-style
+/// lanes over the row's 8-byte words, then its index), so Engine::update
+/// rehashes only the rows a delta changes. Any one changed entry, ±0
+/// included, changes it. Nothing persists it, so its values may change
 /// between versions. Exposed for tests.
 std::uint64_t matrix_content_hash(const DenseMatrix<fp16_t>& a);
 

@@ -70,10 +70,10 @@ Result<std::shared_ptr<const CompiledMatrix>> PlanCache::insert(
   return lru_.front().value;
 }
 
-bool PlanCache::erase(const CacheKey& key) {
+bool PlanCache::erase(const CacheKey& key, const CompiledMatrix* value) {
   MutexLock lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) return false;
+  if (it == index_.end() || it->second->value.get() != value) return false;
   bytes_ -= it->second->bytes;
   lru_.erase(it->second);
   index_.erase(it);

@@ -78,11 +78,12 @@ class PlanCache {
       const CacheKey& key, std::shared_ptr<const CompiledMatrix> value,
       std::size_t bytes);
 
-  /// Removes exactly `key`, leaving every other entry's recency and
-  /// residency untouched — how Engine::update retires a superseded
-  /// generation without invalidating unrelated keys. Returns whether the
-  /// key was present; handed-out shared_ptrs stay valid.
-  bool erase(const CacheKey& key);
+  /// Removes `key` when it still holds `value`, leaving every other
+  /// entry's recency and residency untouched — how Engine::update retires
+  /// a superseded generation without invalidating unrelated keys, or
+  /// another lineage's artifact cached under the same content. Returns
+  /// whether an entry was removed; handed-out shared_ptrs stay valid.
+  bool erase(const CacheKey& key, const CompiledMatrix* value);
 
   /// Drops every entry (counters are kept; handed-out shared_ptrs stay
   /// valid — the cache only releases its references).

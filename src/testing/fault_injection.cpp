@@ -94,6 +94,15 @@ core::JigsawFormat FormatSurgeon::with_metadata_word(
   return f;
 }
 
+core::JigsawFormat FormatSurgeon::with_block_col_idx(
+    std::size_t index, std::uint32_t pos) const {
+  JIGSAW_CHECK_MSG(index < format_.block_col_idx_.size(),
+                   "block_col_idx entry " << index << " out of range");
+  core::JigsawFormat f = format_;
+  f.block_col_idx_[index] = pos;
+  return f;
+}
+
 std::string FormatSurgeon::blob() const {
   std::ostringstream os(std::ios::binary);
   core::save_format(format_, os);

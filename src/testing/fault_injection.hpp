@@ -80,6 +80,11 @@ class FormatSurgeon {
   core::JigsawFormat with_metadata_word(std::size_t index,
                                         std::uint32_t word) const;
 
+  /// A copy of the format whose block_col_idx entry at flat `index` (into
+  /// block_col_idx_array()) holds `pos` instead.
+  core::JigsawFormat with_block_col_idx(std::size_t index,
+                                        std::uint32_t pos) const;
+
   /// The serialized image with one corruption of `c` applied. In-memory
   /// classes are corrupted first and re-serialized (with fresh, valid
   /// checksums, so the structural validator — not the CRC — is what must

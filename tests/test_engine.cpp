@@ -254,6 +254,46 @@ TEST(EngineTrace, ColdCompileRecordsOneSpanPerStage) {
   EXPECT_EQ(obs::histogram("engine.cache.insert_seconds").count(), 1u);
 }
 
+TEST(EngineTrace, IncrementalUpdateRecordsOneSpanPerStage) {
+  // An incremental update rehashes its dirty rows, validates the one
+  // spliced format and inserts the new generation, each once inside
+  // engine.update, and plans nothing from scratch.
+  EngineOptions options;
+  options.policy = ExecutionPolicy::kChecked;
+  options.compile.updatable = true;
+  Engine engine;
+  const auto a = sample_lhs();
+  auto compiled = engine.compile(a, options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  SparseDelta delta;
+  delta.set(1, 2, 0.75f);
+  delta.set(1, 3, -0.5f);
+  obs::reset_metrics();
+  obs::reset_trace();
+  obs::set_enabled(true);
+  auto updated = engine.update(compiled.value(), delta);
+  const std::vector<obs::TraceEvent> events = obs::trace_snapshot();
+  obs::set_enabled(false);
+  obs::reset_trace();
+  ASSERT_TRUE(updated.ok()) << updated.status().to_string();
+
+  ASSERT_EQ(spans_named(events, "engine.update"), 1u);
+  const auto update =
+      std::find_if(events.begin(), events.end(), [](const auto& e) {
+        return std::string_view(e.name) == "engine.update";
+      });
+  const std::uint64_t begin = update->start_ns;
+  const std::uint64_t end = begin + update->duration_ns;
+  for (const char* stage :
+       {"engine.hash", "format.validate", "engine.cache.insert"}) {
+    EXPECT_EQ(spans_named(events, stage), 1u) << stage;
+    EXPECT_EQ(spans_within(events, stage, begin, end), 1u) << stage;
+  }
+  EXPECT_EQ(spans_named(events, "reorder.plan"), 0u);
+  EXPECT_EQ(obs::histogram("engine.hash_seconds").count(), 1u);
+  EXPECT_EQ(obs::histogram("format.validate_seconds").count(), 1u);
+}
+
 // ---- Eviction and the byte bound ------------------------------------------
 
 TEST(EngineCache, EvictionHonorsTheCapacityBound) {

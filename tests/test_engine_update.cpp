@@ -22,8 +22,11 @@
 // the regression surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -425,6 +428,155 @@ TEST(EngineUpdate, NoopDeltaReturnsTheSameGeneration) {
   auto empty = engine.update(compiled.value(), SparseDelta{});
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty.value().get(), compiled.value().get());
+
+  // Entries that cancel out are a no-op too: the live head stays cached,
+  // and a compile of the unchanged operand hits the same lineage.
+  const CacheStats before = engine.cache_stats();
+  SparseDelta cancelling;
+  cancelling.set(3, 5, 0.625f);
+  cancelling.entries.push_back({3, 5, a(3, 5)});
+  auto cancelled = engine.update(compiled.value(), cancelling);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled.value().get(), compiled.value().get());
+  EXPECT_EQ(cancelled.value()->generation, 0u);
+  EXPECT_EQ(engine.cache_stats().entries, before.entries);
+  EXPECT_EQ(engine.cache_stats().retired, before.retired);
+  auto recompiled = engine.compile(a, options);
+  ASSERT_TRUE(recompiled.ok());
+  EXPECT_EQ(recompiled.value().get(), compiled.value().get());
+}
+
+TEST(EngineUpdate, UpdateOntoAnotherCachedOperandPublishesItsOwnGeneration) {
+  // A and B differ in one entry, and both are compiled updatable. An
+  // update turning A into B keys onto B's cached artifact, yet publishes
+  // generation 1 of A's lineage and leaves B's lineage alone.
+  EngineOptions options;
+  options.compile.updatable = true;
+  Engine engine;
+  const auto a = dlmc::make_lhs({64, 128}, 0.8, 4, 7304).values();
+  DenseMatrix<fp16_t> b = a;
+  b(7, 9) = fp16_t(float(b(7, 9)) + 0.5f);
+  const auto gen_a = engine.compile(a, options).value();
+  const auto gen_b = engine.compile(b, options).value();
+  ASSERT_NE(gen_a->lineage, gen_b->lineage);
+
+  SparseDelta delta;
+  delta.entries.push_back({7, 9, b(7, 9)});
+  auto updated = engine.update(gen_a, delta);
+  ASSERT_TRUE(updated.ok()) << updated.status().to_string();
+  const auto head = updated.value();
+  EXPECT_NE(head.get(), gen_b.get());
+  EXPECT_EQ(head->generation, 1u);
+  EXPECT_EQ(head->lineage, gen_a->lineage);
+  EXPECT_EQ(head->matrix_hash, gen_b->matrix_hash);
+  EXPECT_EQ(Engine::latest(gen_a).get(), head.get());
+  EXPECT_EQ(Engine::latest(gen_b).get(), gen_b.get());
+  EXPECT_EQ(gen_b->generation, 0u);
+
+  // Both lineages keep going on their own.
+  SparseDelta more;
+  more.set(0, 0, 0.75f);
+  auto next_a = engine.update(gen_a, more);
+  ASSERT_TRUE(next_a.ok()) << next_a.status().to_string();
+  EXPECT_EQ(next_a.value()->generation, 2u);
+  EXPECT_EQ(next_a.value()->lineage, gen_a->lineage);
+  EXPECT_EQ(Engine::latest(gen_b).get(), gen_b.get());
+  auto next_b = engine.update(gen_b, more);
+  ASSERT_TRUE(next_b.ok()) << next_b.status().to_string();
+  EXPECT_EQ(next_b.value()->generation, 1u);
+  EXPECT_EQ(next_b.value()->lineage, gen_b->lineage);
+  EXPECT_EQ(Engine::latest(gen_a).get(), next_a.value().get());
+}
+
+// ---- The incremental content key -------------------------------------------
+
+/// Six random entries of one kind each: a value change or new nonzero, a
+/// zeroing, a ±0 flip, a pair that cancels out, or one row in every
+/// BLOCK_TILE-16 panel. Applied to `mirror` as well.
+SparseDelta mixed_delta(Rng& rng, DenseMatrix<fp16_t>& mirror) {
+  SparseDelta delta;
+  const auto set = [&](std::size_t r, std::size_t c, fp16_t v) {
+    delta.entries.push_back(
+        {static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(c), v});
+    mirror(r, c) = v;
+  };
+  const std::size_t rows = mirror.rows();
+  for (int i = 0; i < 6; ++i) {
+    const std::size_t r = rng.next_below(rows);
+    const std::size_t c = rng.next_below(mirror.cols());
+    switch (rng.next_below(5)) {
+      case 0:
+        set(r, c, fp16_t(rng.uniform(-1.0f, 1.0f)));
+        break;
+      case 1:
+        set(r, c, fp16_t(0.0f));
+        break;
+      case 2:
+        if (mirror(r, c).is_zero()) {
+          set(r, c, fp16_t::from_bits(static_cast<std::uint16_t>(
+                        mirror(r, c).bits() ^ 0x8000u)));
+        }
+        break;
+      case 3: {
+        const fp16_t kept = mirror(r, c);
+        set(r, c, fp16_t(rng.uniform(2.0f, 3.0f)));
+        set(r, c, kept);
+        break;
+      }
+      default:
+        for (std::size_t p = 0; p < rows; p += 16) {
+          set(p + rng.next_below(std::min<std::size_t>(16, rows - p)),
+              rng.next_below(mirror.cols()),
+              fp16_t(rng.uniform(0.25f, 1.0f)));
+        }
+        break;
+    }
+  }
+  return delta;
+}
+
+TEST(EngineUpdateProperty, IncrementalKeyEqualsTheFullHash) {
+  // Seeded update sequences over awkward shapes: rows not a multiple of
+  // BLOCK_TILE, one row, one column, and K not a multiple of 4, on the
+  // incremental (kChecked) and the full-recompile (kHybrid) path. After
+  // every update the head's key equals a full hash of the model operand,
+  // and a compile of that operand returns the head.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {70, 40}, {1, 37}, {45, 1}, {33, 66}};
+  for (const ExecutionPolicy policy :
+       {ExecutionPolicy::kChecked, ExecutionPolicy::kHybrid}) {
+    for (const auto& [rows, cols] : shapes) {
+      SCOPED_TRACE(::testing::Message()
+                   << rows << "x" << cols << " policy "
+                   << static_cast<int>(policy));
+      Rng rng(mix_seed(7311, rows, cols, static_cast<std::uint64_t>(policy)));
+      DenseMatrix<fp16_t> mirror(rows, cols);
+      for (std::size_t i = 0; i < mirror.size(); ++i) {
+        if (rng.bernoulli(0.3)) {
+          mirror.data()[i] = fp16_t(rng.uniform(0.25f, 1.0f));
+        }
+      }
+      EngineOptions options;
+      options.policy = policy;
+      options.compile.updatable = true;
+      options.compile.block_tile = 16;
+      Engine engine;
+      auto compiled = engine.compile(mirror, options);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+      const auto gen0 = compiled.value();
+      for (int step = 0; step < 12; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        auto updated = engine.update(gen0, mixed_delta(rng, mirror));
+        ASSERT_TRUE(updated.ok()) << updated.status().to_string();
+        const auto head = Engine::latest(gen0);
+        EXPECT_EQ(head.get(), updated.value().get());
+        EXPECT_EQ(head->matrix_hash, matrix_content_hash(mirror));
+        auto again = engine.compile(mirror, options);
+        ASSERT_TRUE(again.ok()) << again.status().to_string();
+        EXPECT_EQ(again.value().get(), head.get());
+      }
+    }
+  }
 }
 
 // ---- Failure atomicity ----------------------------------------------------

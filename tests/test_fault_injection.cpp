@@ -91,6 +91,103 @@ TEST(FaultInjection, InMemoryClassesFailValidateWithInvalidFormat) {
   }
 }
 
+// validate() accepts through branch-free sweeps and reports through the
+// walks behind them. Each rejection below keeps the status code and the
+// message text it had before the sweeps, captured on this fixture.
+TEST(FaultInjection, RejectionsKeepTheirCodeAndMessage) {
+  const auto f = Fixture::make();
+  const FormatSurgeon surgeon(f.a);
+  const JigsawFormat& healthy = surgeon.format();
+  ASSERT_EQ(healthy.metadata().size(), 192u);
+  ASSERT_EQ(healthy.block_col_idx_array().size(), 384u);
+  const auto expect = [](const Status& s, StatusCode code,
+                         const std::string& message) {
+    EXPECT_EQ(s.code(), code) << s.to_string();
+    EXPECT_EQ(s.message(), message);
+  };
+  const std::string kEncoding =
+      "indices not strictly increasing (%): violates the 2-per-4 group "
+      "encoding";
+  const auto metadata_message = [&](std::size_t word, int group,
+                                    const char* indices) {
+    std::string tail = kEncoding;
+    tail.replace(tail.find('%'), 1, indices);
+    return "metadata word " + std::to_string(word) + " group " +
+           std::to_string(group) + " " + tail;
+  };
+
+  const struct {
+    jigsaw::testing::CorruptionClass c;
+    StatusCode code;
+    std::string message;
+  } classes[] = {
+      {jigsaw::testing::CorruptionClass::kColIdxOutOfRange,
+       StatusCode::kInvalidFormat,
+       "panel 1 col_idx entry 64 = 878 out of range (K=128)"},
+      {jigsaw::testing::CorruptionClass::kDuplicateColIdx,
+       StatusCode::kInvalidFormat, "panel 0 lists column 0 twice"},
+      {jigsaw::testing::CorruptionClass::kBrokenPermutation,
+       StatusCode::kInvalidFormat,
+       "block_col_idx group 23 is not a permutation of 0..15"},
+      {jigsaw::testing::CorruptionClass::kMetadataViolation,
+       StatusCode::kInvalidFormat, metadata_message(189, 0, "0, 0")},
+      {jigsaw::testing::CorruptionClass::kPayloadSizeMismatch,
+       StatusCode::kInvalidFormat,
+       "values array holds 3073 halves, headers imply 3072"},
+      {jigsaw::testing::CorruptionClass::kBlobBadChecksum,
+       StatusCode::kChecksumMismatch,
+       "metadata section CRC32 mismatch (stored f73f526, computed "
+       "f737526)"},
+      {jigsaw::testing::CorruptionClass::kBlobTruncation,
+       StatusCode::kTruncatedStream,
+       "values declares 6144 payload bytes, stream has 3348"},
+      {jigsaw::testing::CorruptionClass::kBlobLengthFieldEdit,
+       StatusCode::kInvalidFormat,
+       "panel headers declares 4611686018427387904 elements, limit "
+       "1073741824"},
+      {jigsaw::testing::CorruptionClass::kBlobBitFlip,
+       StatusCode::kChecksumMismatch,
+       "values section CRC32 mismatch (stored dbc783cd, computed "
+       "53c9297c)"},
+  };
+  for (const auto& k : classes) {
+    SCOPED_TRACE(jigsaw::testing::to_string(k.c));
+    expect(surgeon.probe(k.c, 1), k.code, k.message);
+  }
+
+  // Stored word 5 is row 3 of pair 0 under the §3.4.3 interleave. Break
+  // each of its eight groups in turn, with equal and with descending
+  // indices; then check every nibble value at every group: a word is
+  // accepted exactly when each group's low index is below its high one.
+  const std::uint32_t word = healthy.metadata()[5];
+  const std::uint32_t broken[8] = {0x0, 0x5, 0xA, 0xF, 0x1, 0x6, 0xB, 0x3};
+  const char* indices[8] = {"0, 0", "1, 1", "2, 2", "3, 3",
+                            "1, 0", "2, 1", "3, 2", "3, 0"};
+  for (int g = 0; g < 8; ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    const std::uint32_t keep = word & ~(0xFu << (4 * g));
+    expect(surgeon.with_metadata_word(5, keep | (broken[g] << (4 * g)))
+               .validate(),
+           StatusCode::kInvalidFormat, metadata_message(3, g, indices[g]));
+    for (std::uint32_t n = 0; n < 16; ++n) {
+      const bool ok =
+          surgeon.with_metadata_word(5, keep | (n << (4 * g))).validate().ok();
+      EXPECT_EQ(ok, (n & 3u) < (n >> 2)) << "nibble " << n;
+    }
+  }
+  // The last word of the array, and entries that leave their group's bit
+  // set whole but lie out of range, in the first and the last group.
+  expect(surgeon.with_metadata_word(191, 0).validate(),
+         StatusCode::kInvalidFormat, metadata_message(191, 0, "0, 0"));
+  const auto& perm = healthy.block_col_idx_array();
+  expect(surgeon.with_block_col_idx(383, perm[383] + 16).validate(),
+         StatusCode::kInvalidFormat,
+         "block_col_idx group 23 entry 15 = 31 out of range");
+  expect(surgeon.with_block_col_idx(3, perm[3] + 16).validate(),
+         StatusCode::kInvalidFormat,
+         "block_col_idx group 0 entry 3 = 19 out of range");
+}
+
 TEST(FaultInjection, BlobMutatorsAreDeterministic) {
   const auto f = Fixture::make();
   const FormatSurgeon surgeon(f.a);
